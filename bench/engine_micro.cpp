@@ -3,11 +3,15 @@
 // Throughput of the structures every experiment leans on: the LRU set (hash
 // vs dense-interned index, split vs fused probe), the page interner, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, and the full parallel engine. These keep the harness
-// honest about simulator cost and catch performance regressions —
-// scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
+// the green-OPT DP, DET-PAR's per-box decision, and the full parallel
+// engine. These keep the harness honest about simulator cost and catch
+// performance regressions — scripts/bench_perf.sh snapshots them into
+// BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "core/det_par.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "green/box_runner.hpp"
@@ -144,6 +148,39 @@ void BM_GreenOptDp(benchmark::State& state) {
       static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_GreenOptDp)->Arg(1 << 10)->Arg(1 << 12);
+
+/// An EngineView on which all p processors stay active.
+class AllActiveView final : public EngineView {
+ public:
+  explicit AllActiveView(ProcId p) : p_(p) {}
+  ProcId num_procs() const override { return p_; }
+  ProcId active_count() const override { return p_; }
+  bool is_active(ProcId) const override { return true; }
+
+ private:
+  ProcId p_;
+};
+
+/// DET-PAR's next_box alone, as a function of p: a stub view, k = 8p, no
+/// trace work. Processors ask in turn, each at the end of its previous box,
+/// all inside the one phase start() opens. Items are boxes. k = 8p pins the
+/// base height at 16, so the strips grow only with log p (6 at p=64, 12 at
+/// p=4096); scripts/bench_perf.sh checks that ns/box grows no faster.
+void BM_DetParNextBox(benchmark::State& state) {
+  const auto p = static_cast<ProcId>(state.range(0));
+  const AllActiveView view(p);
+  const auto scheduler = make_det_par();
+  scheduler->start(SchedulerContext{p, 8 * p, 8}, view);
+  std::vector<Time> free_at(p, 0);
+  ProcId proc = 0;
+  for (auto _ : state) {
+    const BoxAssignment box = scheduler->next_box(proc, free_at[proc], view);
+    free_at[proc] = box.end;
+    proc = proc + 1 == p ? 0 : proc + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DetParNextBox)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_ParallelEngine(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));

@@ -6,6 +6,9 @@
 # BENCH_PERF.json, verifying on the way that the parallel sweep output is
 # byte-identical to the serial one.
 #
+# DET-PAR's per-box cost must stay O(log p): the script fails when
+# BM_DetParNextBox's ns/box at p=4096 exceeds 4x its ns/box at p=64.
+#
 # After writing the snapshot, compares per-benchmark requests/sec against
 # the committed BENCH_PERF.json and FAILS on any drop beyond the threshold
 # (default 15%). To filter machine noise, every dropped benchmark is
@@ -18,8 +21,9 @@
 #   --out       Output path (default: BENCH_PERF.json in the repo root).
 #   --selftest  Run the gate logic against synthetic snapshots (an injected
 #               slowdown must fail, a flat profile must pass, and
-#               PPG_PERF_GATE=warn must downgrade the failure); no
-#               benchmarks are built or run.
+#               PPG_PERF_GATE=warn must downgrade the failure) and the
+#               p-scaling check against synthetic timings; no benchmarks
+#               are built or run.
 #
 # Environment:
 #   PPG_PERF_GATE=warn   Downgrade a gate failure to a warning (escape
@@ -76,6 +80,29 @@ sys.exit(1 if dropped else 0)
 PY
 }
 
+# det_par_scaling_check MICRO_JSON
+# DET-PAR's next_box costs O(log p): from p=64 to p=4096 its strips grow
+# only from 6 to 12, so ns/box may at most quadruple, while any O(p) cost
+# would grow 64x. Returns nonzero on a breach.
+det_par_scaling_check() {
+  MICRO_JSON="$1" python3 - <<'PY'
+import json, os, sys
+
+with open(os.environ["MICRO_JSON"]) as f:
+    rate = {b["name"]: b["items_per_second"]
+            for b in json.load(f)["benchmarks"] if "items_per_second" in b}
+small, large = "BM_DetParNextBox/64", "BM_DetParNextBox/4096"
+if small not in rate or large not in rate:
+    print("FAIL: BM_DetParNextBox/{64,4096} missing from the run")
+    sys.exit(1)
+ratio = rate[small] / rate[large]  # = ns/box(4096) / ns/box(64)
+verdict = "OK" if ratio <= 4.0 else "FAIL"
+print(f"{verdict}: DET-PAR ns/box p=4096 over p=64 is {ratio:.2f}x "
+      "(limit 4x)")
+sys.exit(0 if ratio <= 4.0 else 1)
+PY
+}
+
 # --- Self-test: prove the gate can fail ----------------------------------
 # Synthetic snapshots exercise the comparison logic without benchmark
 # noise: a 2x slowdown must fail, an identical profile must pass, and the
@@ -114,7 +141,25 @@ JSON
     echo "FAIL: PPG_PERF_GATE_PCT not honoured" >&2
     exit 1
   fi
-  echo "perf gate self-test OK (drop detected, flat pass, threshold env)"
+  # The p-scaling check: log-p growth passes, linear growth fails.
+  cat >"${ST_DIR}/logp.json" <<'JSON'
+{"benchmarks": [{"name": "BM_DetParNextBox/64", "items_per_second": 8e6},
+                {"name": "BM_DetParNextBox/4096", "items_per_second": 4e6}]}
+JSON
+  cat >"${ST_DIR}/linear.json" <<'JSON'
+{"benchmarks": [{"name": "BM_DetParNextBox/64", "items_per_second": 8e6},
+                {"name": "BM_DetParNextBox/4096", "items_per_second": 1e5}]}
+JSON
+  if ! det_par_scaling_check "${ST_DIR}/logp.json" >/dev/null; then
+    echo "FAIL: p-scaling check flagged log-p growth" >&2
+    exit 1
+  fi
+  if det_par_scaling_check "${ST_DIR}/linear.json" >/dev/null; then
+    echo "FAIL: p-scaling check passed linear growth in p" >&2
+    exit 1
+  fi
+  echo "perf gate self-test OK (drop detected, flat pass, threshold env," \
+       "p-scaling check)"
   exit 0
 fi
 
@@ -131,11 +176,12 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 # --- Microbenchmark throughput (requests/sec) ----------------------------
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
-BENCH_FILTER='BM_(LruSetAccess|DenseLruSetAccess|DenseLruSetFusedAccess|PageIntern|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine)'
+BENCH_FILTER='BM_(LruSetAccess|DenseLruSetAccess|DenseLruSetFusedAccess|PageIntern|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_format=json >"${MICRO_JSON}"
+det_par_scaling_check "${MICRO_JSON}"
 
 # Service layer end to end (items = requests served, comparable with
 # BM_ParallelEngine*); lands in both requests_per_sec (gated like every
@@ -221,6 +267,13 @@ t0, t1, t2 = (float(os.environ[k]) for k in ("T0", "T1", "T2"))
 serial_s = t1 - t0
 parallel_s = t2 - t1
 
+def ns_per_box(name):
+    return round(1e9 / bench[name], 1) if bench.get(name) else None
+
+det_par = {
+    str(p): ns_per_box(f"BM_DetParNextBox/{p}") for p in (64, 256, 1024, 4096)
+}
+
 def ratio(name_dense, name_hash):
     if bench.get(name_hash):
         return round(bench[name_dense] / bench[name_hash], 3)
@@ -242,6 +295,13 @@ out = {
     "requests_per_sec": bench,
     "dense_over_hash_lru": ratio("BM_DenseLruSetAccess/256",
                                  "BM_LruSetAccess/256"),
+    # DET-PAR next_box cost vs p (bench BM_DetParNextBox, items = boxes);
+    # the script fails when the p=4096 figure exceeds 4x the p=64 one.
+    "det_par_next_box": {
+        "ns_per_box": det_par,
+        "ratio_4096_over_64": round(det_par["4096"] / det_par["64"], 3)
+            if det_par["64"] and det_par["4096"] else None,
+    },
     # PagingService end to end (bench/service_throughput): batch cohort,
     # trickled arrivals, adversarial bursts. The same numbers also sit in
     # requests_per_sec, so the hard gate covers them.

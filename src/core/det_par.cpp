@@ -1,7 +1,7 @@
 #include "core/det_par.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "green/box.hpp"
@@ -54,38 +54,29 @@ class DetPar final : public BoxScheduler {
       start_phase(now, view);
     }
 
-    const auto idx_it = index_.find(proc);
     // A processor always appears in the phase-start list: phases start
     // before any box is issued, processors never re-activate, and an
     // online arrival forces a re-phase (rephase_) before its first box.
-    PPG_CHECK_MSG(idx_it != index_.end(), "processor missing from phase list");
-    const std::size_t idx = idx_it->second;
+    PPG_CHECK_MSG(proc < index_.size() && index_[proc].phase == phase_,
+                  "processor missing from phase list");
+    const std::size_t idx = index_[proc].pos;
 
-    // Scan strips for (a) a box window containing `now` assigned to this
-    // processor — take the tallest — and (b) the earliest upcoming window.
+    // Per strip, in O(1): (a) does the cycle containing `now` assign a box
+    // window to this processor — take the tallest — and (b) the earliest
+    // upcoming window. Strips number O(log p), and so does the call.
     Height current_height = 0;
     Time current_end = 0;
     Time next_start = kTimeInfinity;
-    for (std::uint32_t m = 0; m < strips_.size(); ++m) {
-      const Strip& strip = strips_[m];
+    for (const Strip& strip : strips_) {
       const Time cycle_len = ctx_.miss_cost * static_cast<Time>(strip.height);
       const Time c_now = (now - phase_start_) / cycle_len;
-      // Current cycle: does it assign a slot to idx?
-      if (assigned_in_cycle(strip, m, c_now, idx)) {
-        const Time window_end = phase_start_ + (c_now + 1) * cycle_len;
-        if (strip.height > current_height) {
-          current_height = strip.height;
-          current_end = window_end;
-        }
+      if (strip.rotation.serves(c_now, idx) &&
+          strip.height > current_height) {
+        current_height = strip.height;
+        current_end = phase_start_ + (c_now + 1) * cycle_len;
       }
-      // Earliest future cycle assigning idx.
-      const Time horizon = c_now + ceil_div(phase_r0_, strip.slots) + 2;
-      for (Time c = c_now + 1; c <= horizon; ++c) {
-        if (assigned_in_cycle(strip, m, c, idx)) {
-          next_start = std::min(next_start, phase_start_ + c * cycle_len);
-          break;
-        }
-      }
+      const Time c_next = strip.rotation.next_serving(c_now + 1, idx);
+      next_start = std::min(next_start, phase_start_ + c_next * cycle_len);
     }
 
     if (current_height > base_height_)
@@ -103,30 +94,25 @@ class DetPar final : public BoxScheduler {
 
  private:
   struct Strip {
-    Height height;       // z
-    std::size_t slots;   // C_z
-    std::size_t offset;  // stagger between strips
+    Height height;           // z
+    StripRotation rotation;  // C_z slots, staggered by the strip index
   };
 
-  bool assigned_in_cycle(const Strip& strip, std::uint32_t strip_idx,
-                         Time cycle, std::size_t idx) const {
-    (void)strip_idx;
-    // Slot q of cycle c serves order[(c*C + q + offset) mod r0]; idx is
-    // served iff ((idx - offset - c*C) mod r0) < C.
-    const std::size_t r0 = phase_r0_;
-    const auto base = static_cast<std::size_t>(
-        (static_cast<Time>(strip.slots) * cycle + strip.offset) %
-        static_cast<Time>(r0));
-    const std::size_t rel = (idx + r0 - base) % r0;
-    return rel < strip.slots;
-  }
+  /// A processor's position in the current phase-start list; valid only
+  /// while `phase` equals the current phase_.
+  struct PhaseSlot {
+    std::uint64_t phase = 0;
+    std::size_t pos = 0;
+  };
 
   void start_phase(Time t0, const EngineView& view) {
     rephase_ = false;
     phase_start_ = t0;
-    index_.clear();
+    ++phase_;
+    if (index_.size() < view.num_procs()) index_.resize(view.num_procs());
     std::size_t num_active = 0;
-    view.for_each_active([&](ProcId p) { index_[p] = num_active++; });
+    view.for_each_active(
+        [&](ProcId p) { index_[p] = PhaseSlot{phase_, num_active++}; });
     phase_r0_ = std::max<std::size_t>(1, num_active);
 
     const Height h_max =
@@ -143,7 +129,7 @@ class DetPar final : public BoxScheduler {
       const Height z = ladder.height(m);
       const auto slots = std::max<std::size_t>(
           1, ctx_.cache_size / (static_cast<std::size_t>(z) * rungs));
-      strips_.push_back(Strip{z, slots, m});
+      strips_.push_back(Strip{z, StripRotation{phase_r0_, slots, m}});
     }
   }
 
@@ -155,7 +141,8 @@ class DetPar final : public BoxScheduler {
   std::size_t phase_r0_ = 1;
   Height base_height_ = 1;
   std::vector<Strip> strips_;
-  std::unordered_map<ProcId, std::size_t> index_;
+  std::uint64_t phase_ = 0;
+  std::vector<PhaseSlot> index_;  // by ProcId, grown to num_procs()
 };
 
 }  // namespace

@@ -51,30 +51,45 @@ class EngineState final : public EngineView {
   }
   ProcId active_count() const override { return active_count_; }
   bool is_active(ProcId proc) const override { return active_[proc]; }
+  ProcId live_begin() const override { return live_begin_; }
 
   /// New processor slot; initial-cohort slots are born active, online
   /// arrivals stay inactive until their kArrive event fires.
   ProcId add(bool active) {
     active_.push_back(active);
+    retired_.push_back(false);
     if (active) ++active_count_;
     return static_cast<ProcId>(active_.size() - 1);
   }
 
   void activate(ProcId proc) {
-    PPG_CHECK(!active_[proc]);
+    PPG_CHECK(!active_[proc] && !retired_[proc]);
     active_[proc] = true;
     ++active_count_;
   }
 
+  /// Processors never re-activate, so leaving the active set is for good.
   void deactivate(ProcId proc) {
     PPG_CHECK(active_[proc]);
     active_[proc] = false;
     --active_count_;
+    retire(proc);
+  }
+
+  /// `proc` leaves the instance for good — deactivated, or departed while
+  /// still queued for arrival — and the low-water mark moves past every
+  /// retired id at its front.
+  void retire(ProcId proc) {
+    retired_[proc] = true;
+    while (live_begin_ < retired_.size() && retired_[live_begin_])
+      ++live_begin_;
   }
 
  private:
   std::vector<bool> active_;
+  std::vector<bool> retired_;
   ProcId active_count_ = 0;
+  ProcId live_begin_ = 0;
 };
 
 Error engine_error(ErrorCode code, std::string message, ProcId proc,
@@ -325,6 +340,7 @@ struct EngineStepper::Impl {
         if (departing[ev.proc]) {
           // Departed while still queued for arrival: never activates, the
           // scheduler never learns of it.
+          state.retire(ev.proc);
           result.completion[ev.proc] = ev.time;
           completions.push_back(make_completion(ev.proc, ev.time, true));
           release(ev.proc);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "green/box.hpp"
@@ -63,13 +63,12 @@ class RandPar final : public BoxScheduler {
     }
 
     // Secondary part.
-    const auto rank_it = rank_.find(proc);
-    if (rank_it == rank_.end()) {
+    if (proc >= rank_.size() || rank_[proc].chunk != chunk_) {
       // Processor was not active at chunk start (can only happen after a
       // restart edge case); park it in a filler box until the chunk ends.
       return BoxAssignment{h_min_, now, chunk_end_};
     }
-    const std::size_t wave = rank_it->second / procs_per_wave_;
+    const std::size_t wave = rank_[proc].rank / procs_per_wave_;
     const Time wave_len = ctx_.miss_cost * static_cast<Time>(j_height_);
     const Time window_start = primary_end_ + static_cast<Time>(wave) * wave_len;
     const Time window_end = window_start + wave_len;
@@ -85,6 +84,13 @@ class RandPar final : public BoxScheduler {
   const char* name() const override { return "RAND-PAR"; }
 
  private:
+  /// A processor's rank in the current chunk's active list; valid only
+  /// while `chunk` equals the current chunk_.
+  struct ChunkRank {
+    std::uint64_t chunk = 0;
+    std::size_t rank = 0;
+  };
+
   void start_chunk(Time t0, const EngineView& view) {
     const ProcId r = std::max<ProcId>(1, view.active_count());
     const Height h_max =
@@ -108,9 +114,11 @@ class RandPar final : public BoxScheduler {
     DiscreteDistribution dist(std::move(weights));
     j_height_ = ladder_.height(static_cast<std::uint32_t>(dist.sample(rng_)));
 
-    rank_.clear();
+    ++chunk_;
+    if (rank_.size() < view.num_procs()) rank_.resize(view.num_procs());
     std::size_t num_active = 0;
-    view.for_each_active([&](ProcId p) { rank_[p] = num_active++; });
+    view.for_each_active(
+        [&](ProcId p) { rank_[p] = ChunkRank{chunk_, num_active++}; });
 
     procs_per_wave_ = std::max<std::size_t>(1, h_max / j_height_);
     const std::size_t num_waves =
@@ -132,7 +140,8 @@ class RandPar final : public BoxScheduler {
   Height j_height_ = 1;
   HeightLadder ladder_;
   std::size_t procs_per_wave_ = 1;
-  std::unordered_map<ProcId, std::size_t> rank_;
+  std::uint64_t chunk_ = 0;
+  std::vector<ChunkRank> rank_;  // by ProcId, grown to num_procs()
 };
 
 }  // namespace

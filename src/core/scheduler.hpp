@@ -37,14 +37,20 @@ class EngineView {
   virtual ProcId num_procs() const = 0;
   virtual ProcId active_count() const = 0;
   virtual bool is_active(ProcId proc) const = 0;
+  /// Low-water mark: every processor below this id has left the instance
+  /// for good (finished, departed or quarantined), so none can be active.
+  /// The engine advances it as processors leave; 0 is always correct.
+  virtual ProcId live_begin() const { return 0; }
 
   /// Visits the active processors in ascending id order without
   /// materializing a list — schedulers call this at every chunk/phase
-  /// start, so it must not allocate.
+  /// start, so it must not allocate. The scan starts at live_begin(), so
+  /// it costs O(live processors): the ids from the oldest processor still
+  /// in the instance up, not every processor ever admitted.
   template <typename Fn>
   void for_each_active(Fn&& fn) const {
     const ProcId p = num_procs();
-    for (ProcId i = 0; i < p; ++i)
+    for (ProcId i = live_begin(); i < p; ++i)
       if (is_active(i)) fn(i);
   }
 };

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "core/det_par.hpp"
 #include "core/parallel_engine.hpp"
+#include "test_helpers.hpp"
 #include "trace/generators.hpp"
 #include "trace/workload.hpp"
 #include "util/math_util.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -153,6 +156,131 @@ TEST(DetPar, SingleProcessorWithinConstantOfDedicatedLru) {
   const Time dedicated_lru = 30 * 4 + (2000 - 30);  // cold misses + hits
   EXPECT_LT(r.makespan, 8 * dedicated_lru);
   EXPECT_GE(r.makespan, dedicated_lru);
+}
+
+// --- Strip-window closed form ------------------------------------------
+
+// The bounded scan DET-PAR's next_box ran before the closed form, kept as
+// the reference: walk cycles c_now+1 .. c_now + ceil(r0/C) + 2 and check
+// every slot of each cycle by its definition, slot q of cycle c serving
+// list position (c*C + q + offset) mod r0.
+bool reference_serves(const StripRotation& rot, Time cycle, std::size_t idx) {
+  for (std::size_t q = 0; q < rot.slots; ++q) {
+    const Time pos = (static_cast<Time>(rot.slots) * cycle + q + rot.offset) %
+                     static_cast<Time>(rot.r0);
+    if (pos == idx) return true;
+  }
+  return false;
+}
+
+Time reference_next_serving(const StripRotation& rot, Time c_now,
+                            std::size_t idx) {
+  const Time horizon = c_now + ceil_div(rot.r0, rot.slots) + 2;
+  for (Time c = c_now + 1; c <= horizon; ++c)
+    if (reference_serves(rot, c, idx)) return c;
+  return kTimeInfinity;
+}
+
+TEST(DetParStripRotation, ClosedFormMatchesBoundedScanExhaustively) {
+  std::uint64_t cases = 0;
+  for (std::size_t r0 = 1; r0 <= 24; ++r0) {
+    std::vector<Time> cycles;
+    for (Time c = 0; c <= r0 + 2; ++c) cycles.push_back(c);
+    // Far-off cycles exercise the same modular arithmetic at large c.
+    cycles.push_back(Time{1} << 40);
+    cycles.push_back((Time{1} << 40) + 2 * r0 + 1);
+    for (std::size_t slots = 1; slots <= 30; ++slots) {
+      for (std::size_t offset = 0; offset < 6; ++offset) {
+        const StripRotation rot{r0, slots, offset};
+        for (std::size_t idx = 0; idx < r0; ++idx) {
+          for (const Time c_now : cycles) {
+            ASSERT_EQ(rot.serves(c_now, idx),
+                      reference_serves(rot, c_now, idx))
+                << "r0=" << r0 << " C=" << slots << " off=" << offset
+                << " idx=" << idx << " c=" << c_now;
+            ASSERT_EQ(rot.next_serving(c_now + 1, idx),
+                      reference_next_serving(rot, c_now, idx))
+                << "r0=" << r0 << " C=" << slots << " off=" << offset
+                << " idx=" << idx << " c=" << c_now;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 1000000u);
+}
+
+// --- Golden box sequences -----------------------------------------------
+
+// The expected hashes pin DET-PAR's schedule box for box; they were
+// captured from the bounded-scan implementation the closed form replaced.
+constexpr std::uint64_t kGoldenBatchBoxes = 2814;
+constexpr std::uint64_t kGoldenBatchHash = 14106166410461915634u;
+constexpr std::uint64_t kGoldenSteppedBoxes = 1115;
+constexpr std::uint64_t kGoldenSteppedHash = 15897135906183928638u;
+
+TEST(DetParGolden, BatchBoxSequence) {
+  const MultiTrace mt = mixed_workload(48, 64, 600);
+  auto scheduler = make_det_par();
+  EngineConfig c = config_for(64, 4);
+  test::BoxSequenceHash hash;
+  c.on_box = [&](ProcId proc, const BoxAssignment& box) {
+    hash.add(proc, box);
+  };
+  const ParallelRunResult r = run_parallel(mt, *scheduler, c);
+  EXPECT_EQ(r.hits + r.misses, mt.total_requests());
+  EXPECT_EQ(hash.boxes(), kGoldenBatchBoxes);
+  EXPECT_EQ(hash.value(), kGoldenBatchHash);
+}
+
+TEST(DetParGolden, SteppedBoxSequenceWithArrivalsAndDepartures) {
+  auto scheduler = make_det_par();
+  EngineConfig c = config_for(64, 4);
+  test::BoxSequenceHash hash;
+  c.on_box = [&](ProcId proc, const BoxAssignment& box) {
+    hash.add(proc, box);
+  };
+  EngineStepper stepper(*scheduler, c);
+  WorkloadParams wp;
+  wp.num_procs = 12;
+  wp.cache_size = 64;
+  wp.requests_per_proc = 1500;
+  wp.seed = 11;
+  const MultiTraceSource cohort =
+      make_workload_source(WorkloadKind::kHeterogeneousMix, wp);
+  for (ProcId i = 0; i < cohort.num_procs(); ++i)
+    stepper.add_processor(cohort.source_ptr(i));
+  stepper.start();
+
+  int steps = 0;
+  bool more = true;
+  while (more) {
+    more = stepper.step();
+    ++steps;
+    if (steps == 5 || steps == 60) {
+      // A batch of online arrivals forces a re-phase.
+      const Time at = stepper.now() + 3;
+      for (std::uint64_t i = 0; i < 6; ++i) {
+        stepper.add_processor(
+            i % 2 == 0 ? gen::cyclic_source(17 + i, 300)
+                       : gen::zipf_source(64, 400, 0.9, Rng(i + 1)),
+            at);
+      }
+      more = true;
+    }
+    if (steps == 12) stepper.depart(2);  // mid-run departure
+    if (steps == 15) {
+      // Departed while still queued: never activates.
+      stepper.depart(stepper.add_processor(gen::single_use_source(200),
+                                           stepper.now() + 1000));
+      more = true;
+    }
+  }
+  const CheckedRun run = stepper.finish();
+  ASSERT_TRUE(run.status.ok());
+  EXPECT_EQ(hash.boxes(), kGoldenSteppedBoxes);
+  EXPECT_EQ(hash.value(), kGoldenSteppedHash);
 }
 
 }  // namespace

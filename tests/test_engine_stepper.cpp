@@ -9,12 +9,15 @@
 //    arrivals), not requests and not batches, and the units consumed are
 //    surfaced whether or not a budget is set;
 //  - online arrival/departure: EngineView::for_each_active stays exact
-//    after every step, DET-PAR / RAND-PAR / GLOBAL-LRU re-phase instead of
+//    after every step, also from the low-water mark it starts at (past
+//    queued departures, mid-run departures and quarantines); DET-PAR /
+//    RAND-PAR / GLOBAL-LRU re-phase instead of
 //    aborting when the active set changes mid-run, and any fixed
 //    add/depart/step script is deterministic at every engine_threads
 //    value.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -268,6 +271,71 @@ TEST(EngineStepperTest, DepartBeforeArrivalNeverActivates) {
   EXPECT_EQ(stepper.proc_misses(late), 0u);
   const CheckedRun run = stepper.finish();
   EXPECT_TRUE(run.status.ok());
+}
+
+/// for_each_active starts at the engine's low-water mark; it must still
+/// visit exactly the processors is_active reports, in ascending order.
+void expect_scan_matches_is_active(const EngineView& view) {
+  std::vector<ProcId> visited;
+  view.for_each_active([&](ProcId proc) { visited.push_back(proc); });
+  std::vector<ProcId> want;
+  for (ProcId proc = 0; proc < view.num_procs(); ++proc)
+    if (view.is_active(proc)) want.push_back(proc);
+  EXPECT_EQ(visited, want);
+  ASSERT_LE(view.live_begin(), view.num_procs());
+  for (ProcId proc = 0; proc < view.live_begin(); ++proc)
+    EXPECT_FALSE(view.is_active(proc)) << "proc " << proc;
+}
+
+TEST(EngineStepperTest, LowWaterMarkKeepsActiveScanExact) {
+  EngineConfig ec;
+  ec.cache_size = 32;
+  ec.miss_cost = 8;
+  // Long traces exhaust this per-processor box budget and are quarantined;
+  // short ones finish first.
+  ec.proc_event_budget = 40;
+  const auto sched = build("DET-PAR", 4);
+  EngineStepper stepper(*sched, ec);
+  const ProcId long_runner =
+      stepper.add_processor(gen::cyclic_source(40, 20000));
+  for (std::size_t i = 0; i < 3; ++i)
+    stepper.add_processor(gen::cyclic_source(9, 150 + 50 * i));
+  stepper.start();
+  expect_scan_matches_is_active(stepper.view());
+
+  bool quarantined = false;
+  ProcId max_mark = 0;
+  int steps = 0;
+  bool more = true;
+  while (more) {
+    more = stepper.step();
+    ++steps;
+    expect_scan_matches_is_active(stepper.view());
+    max_mark = std::max(max_mark, stepper.view().live_begin());
+    for (const StepCompletion& c : stepper.last_completions())
+      quarantined = quarantined || (c.quarantined && c.proc == long_runner);
+    if (steps == 2) {
+      // Departed while still queued: never activates, yet must not pin
+      // the mark below it.
+      stepper.depart(stepper.add_processor(gen::single_use_source(50),
+                                           stepper.now() + 500));
+      more = true;
+    }
+    if (steps == 4 || steps == 9) {
+      // Online arrivals, one batch per script point.
+      const Time at = stepper.now() + 2;
+      for (std::uint64_t i = 0; i < 3; ++i)
+        stepper.add_processor(gen::zipf_source(48, 300, 0.9, Rng(i + 1)), at);
+      more = true;
+    }
+    if (steps == 6) stepper.depart(2);  // mid-run departure
+  }
+  const CheckedRun run = stepper.finish();
+  ASSERT_TRUE(run.status.ok());
+  EXPECT_TRUE(quarantined);
+  EXPECT_GT(max_mark, 0u);
+  // Everyone left, the queued departure included: the mark reaches the end.
+  EXPECT_EQ(stepper.view().live_begin(), stepper.num_procs());
 }
 
 /// Runs a fixed arrival/departure script and returns the final metrics.

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/parallel_engine.hpp"
 #include "core/rand_par.hpp"
+#include "test_helpers.hpp"
 #include "trace/generators.hpp"
 #include "trace/workload.hpp"
 #include "util/math_util.hpp"
@@ -123,6 +127,51 @@ TEST(RandPar, PrimaryMultiplierScalesChunks) {
   auto scheduler = make_rand_par(config);
   const ParallelRunResult r = run_parallel(mt, *scheduler, config_for(32, 4));
   EXPECT_EQ(r.hits + r.misses, mt.total_requests());
+}
+
+// The golden hashes pin RAND-PAR's schedule box for box; they were
+// captured from the hash-map rank index the dense one replaced.
+constexpr std::uint64_t kGoldenBatchHash = 18224969762877940696u;
+constexpr std::uint64_t kGoldenDirectHash = 13500630882795468967u;
+
+TEST(RandParGolden, BatchBoxSequence) {
+  const MultiTrace mt = mixed_workload(24, 64, 800, 5);
+  auto scheduler = make_rand_par();
+  EngineConfig c = config_for(64, 4);
+  test::BoxSequenceHash hash;
+  c.on_box = [&](ProcId proc, const BoxAssignment& box) {
+    hash.add(proc, box);
+  };
+  const ParallelRunResult r = run_parallel(mt, *scheduler, c);
+  EXPECT_EQ(r.hits + r.misses, mt.total_requests());
+  EXPECT_EQ(hash.value(), kGoldenBatchHash);
+}
+
+TEST(RandParGolden, ProcessorUnrankedAtChunkStartGetsFillerBoxes) {
+  // Driven directly, without an engine, so processors 4 and 5 can keep
+  // asking for boxes after the view stops reporting them active: every
+  // chunk that starts after that leaves them unranked, and their
+  // secondary-part requests take the filler path.
+  const ProcId p = 6;
+  test::FakeView view(p);
+  auto scheduler = make_rand_par();
+  scheduler->start(SchedulerContext{p, 32, 4}, view);
+  test::BoxSequenceHash hash;
+  std::vector<Time> free_at(p, 0);
+  for (int round = 0; round < 600; ++round) {
+    if (round == 100) {
+      view.finish(4);
+      view.finish(5);
+    }
+    // The processor whose box ends first asks next (lowest id on ties).
+    const auto proc = static_cast<ProcId>(
+        std::min_element(free_at.begin(), free_at.end()) - free_at.begin());
+    const BoxAssignment box = scheduler->next_box(proc, free_at[proc], view);
+    ASSERT_GT(box.end, box.start);
+    hash.add(proc, box);
+    free_at[proc] = box.end;
+  }
+  EXPECT_EQ(hash.value(), kGoldenDirectHash);
 }
 
 }  // namespace
