@@ -1,7 +1,6 @@
 // E10 — Microbenchmarks of the simulation substrates (google-benchmark).
 //
-// Throughput of the structures every experiment leans on: the LRU set (hash
-// vs dense-interned index, split vs fused probe), the page interner, the
+// Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
 // the green-OPT DP, DET-PAR's per-box decision, and the full parallel
 // engine. These keep the harness honest about simulator cost and catch
@@ -18,7 +17,6 @@
 #include "green/green_opt.hpp"
 #include "paging/cache_sim.hpp"
 #include "trace/generators.hpp"
-#include "trace/page_interner.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/workload.hpp"
 #include "util/thread_pool.hpp"
@@ -42,52 +40,6 @@ void BM_LruSetAccess(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LruSetAccess)->Arg(16)->Arg(256)->Arg(4096);
-
-// The dense fast path BoxRunner now runs on: same access stream as
-// BM_LruSetAccess, but interned ids over a flat direct-map index.
-void BM_DenseLruSetAccess(benchmark::State& state) {
-  const auto capacity = static_cast<Height>(state.range(0));
-  Rng rng(1);
-  const InternedTrace trace{gen::zipf(capacity * 4, 1 << 14, 0.9, rng)};
-  DenseLruSet set(capacity, trace.num_distinct());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(set.access(trace[i]));
-    i = (i + 1) % trace.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DenseLruSetAccess)->Arg(16)->Arg(256)->Arg(4096);
-
-// The fused probe pair (one index lookup per request) on the dense index —
-// exactly the BoxRunner hot loop, minus the budget arithmetic.
-void BM_DenseLruSetFusedAccess(benchmark::State& state) {
-  const auto capacity = static_cast<Height>(state.range(0));
-  Rng rng(1);
-  const InternedTrace trace{gen::zipf(capacity * 4, 1 << 14, 0.9, rng)};
-  DenseLruSet set(capacity, trace.num_distinct());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::uint32_t page = trace[i];
-    if (!set.try_touch(page)) benchmark::DoNotOptimize(set.insert_absent(page));
-    i = (i + 1) % trace.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DenseLruSetFusedAccess)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_PageIntern(benchmark::State& state) {
-  Rng rng(6);
-  const Trace trace =
-      gen::zipf(1024, static_cast<std::size_t>(state.range(0)), 0.9, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(InternedTrace(trace));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_PageIntern)->Arg(1 << 14);
 
 // Sequential simulator throughput via the policy fast path
 // (touch_if_resident — one lookup per hit).
@@ -203,9 +155,8 @@ void BM_ParallelEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelEngine)->Arg(8)->Arg(32)->Arg(128);
 
-/// Same instance pulled lazily from generator sources: measures the
-/// streaming path's per-request overhead (hash LRU + on-demand generation)
-/// against the dense materialized fast path above.
+/// Same instance pulled lazily from generator sources: measures on-demand
+/// generation against the vector cursor spans of the materialized run above.
 void BM_ParallelEngineStreamed(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));
   WorkloadParams wp;
@@ -234,7 +185,11 @@ BENCHMARK(BM_ParallelEngineStreamed)->Arg(8)->Arg(32)->Arg(128);
 /// serial runs above; only the wall clock should move. The acceptance
 /// target is >= 2x BM_ParallelEngine/128 on a multi-core host; on a
 /// single-core machine this degenerates to the serial path plus pool
-/// overhead.
+/// overhead. Wall-clock timed (UseRealTime): the pool's work runs on other
+/// threads, so the main thread's CPU time would overstate the throughput.
+/// MinTime(0.5) holds even under --benchmark_min_time=0.05 (the --quick
+/// gate): over ~10 iterations the wall clock read 30-50% low and bimodal on
+/// a 4-core host, so a short run cannot be compared with the snapshot.
 void BM_ParallelEngineThreaded(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));
   WorkloadParams wp;
@@ -255,11 +210,13 @@ void BM_ParallelEngineThreaded(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(mt.total_requests()));
 }
-BENCHMARK(BM_ParallelEngineThreaded)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_ParallelEngineThreaded)->Arg(8)->Arg(32)->Arg(128)
+    ->UseRealTime()
+    ->MinTime(0.5);
 
 /// Threaded + streamed: the combination the makespan sweeps run at scale —
 /// lazy generator sources, span-buffered box runners, and the per-step box
-/// fan-out all at once.
+/// fan-out all at once. Timed like the bench above.
 void BM_ParallelEngineThreadedStreamed(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));
   WorkloadParams wp;
@@ -281,7 +238,10 @@ void BM_ParallelEngineThreadedStreamed(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(sources.total_requests()));
 }
-BENCHMARK(BM_ParallelEngineThreadedStreamed)->Arg(128);
+BENCHMARK(BM_ParallelEngineThreadedStreamed)
+    ->Arg(128)
+    ->UseRealTime()
+    ->MinTime(0.5);
 
 }  // namespace
 

@@ -10,8 +10,8 @@
 // Usage: stream_smoke [--n REQUESTS] [--p PROCS] [--k CACHE] [--s COST]
 //                     [--max-rss-mb LIMIT] [--materialize]
 //
-// --materialize drains the sources into vectors first and runs the dense
-// path — the "before" case scripts/bench_perf.sh measures against.
+// --materialize drains the sources into vectors first and runs the engine
+// over them — the "before" case scripts/bench_perf.sh measures against.
 //
 // Exits 0 when the run completes (and peak RSS is within --max-rss-mb if
 // given), 1 otherwise.

@@ -176,7 +176,7 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 # --- Microbenchmark throughput (requests/sec) ----------------------------
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
-BENCH_FILTER='BM_(LruSetAccess|DenseLruSetAccess|DenseLruSetFusedAccess|PageIntern|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox)'
+BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \
@@ -274,11 +274,6 @@ det_par = {
     str(p): ns_per_box(f"BM_DetParNextBox/{p}") for p in (64, 256, 1024, 4096)
 }
 
-def ratio(name_dense, name_hash):
-    if bench.get(name_hash):
-        return round(bench[name_dense] / bench[name_hash], 3)
-    return None
-
 out = {
     "schema": 2,
     "quick": os.environ["QUICK"] == "1",
@@ -293,8 +288,6 @@ out = {
     },
     "build_type": os.environ["BUILD_TYPE"],
     "requests_per_sec": bench,
-    "dense_over_hash_lru": ratio("BM_DenseLruSetAccess/256",
-                                 "BM_LruSetAccess/256"),
     # DET-PAR next_box cost vs p (bench BM_DetParNextBox, items = boxes);
     # the script fails when the p=4096 figure exceeds 4x the p=64 one.
     "det_par_next_box": {
@@ -335,7 +328,6 @@ with open(tmp, "w") as f:
     os.fsync(f.fileno())
 os.replace(tmp, os.environ["OUT"])
 print(f"wrote {os.environ['OUT']}")
-print(f"  dense/hash LRU throughput: {out['dense_over_hash_lru']}x")
 print(f"  sweep --jobs 1: {out['sweep']['jobs1_seconds']}s, "
       f"--jobs max: {out['sweep']['jobsmax_seconds']}s "
       f"({out['sweep']['speedup_jobsmax']}x)")

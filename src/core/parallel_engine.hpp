@@ -235,17 +235,18 @@ class EngineStepper {
 
 class ParallelEngine {
  public:
-  /// Materialized instance: every per-processor runner takes the dense
-  /// fast path, and replay dumps can always embed the request vectors.
-  /// `traces` must outlive the engine.
+  /// Materialized instance: runs exactly as the streaming constructor over
+  /// MultiTraceSource::view_of(traces) (each runner pulls spans from a
+  /// vector cursor), and replay dumps can embed the request vectors
+  /// without re-materializing. `traces` must outlive the engine.
   ParallelEngine(const MultiTrace& traces, BoxScheduler& scheduler,
                  const EngineConfig& config);
 
   /// Streaming instance: each processor pulls its requests from a
   /// TraceCursor opened on `sources`, so peak memory is O(p * box height)
   /// plus whatever the sources themselves buffer — independent of trace
-  /// length. Sources that are materialized underneath (VectorTraceSource)
-  /// still take the dense fast path; the two constructions produce
+  /// length. Materialized sources (VectorTraceSource) take the same path
+  /// through their vector cursors; the two constructions produce
   /// byte-identical metrics.
   ParallelEngine(MultiTraceSource sources, BoxScheduler& scheduler,
                  const EngineConfig& config);

@@ -5,10 +5,10 @@
 // costs by at most a constant factor (boxes start empty and are short, so
 // policy differences cannot compound). This runner exists to measure that
 // constant (ablation E12) and to let users experiment with in-box Belady /
-// CLOCK / ARC. The hot path stays in BoxRunner (specialized dense LRU);
-// this class trades speed for generality — though residency now routes
-// through the policy's own index (touch_if_resident) instead of a second
-// hash set.
+// CLOCK / ARC. The hot path stays in BoxRunner (span-buffered LRU over the
+// shared LruSet); this class trades speed for generality: one virtual
+// peek/advance pair per request, and residency routes through the policy's
+// own index (touch_if_resident) instead of a second hash set.
 //
 // Requests are pulled from a TraceCursor, so any online policy also runs
 // over lazy (generator / file) sources in O(height) memory. The exception

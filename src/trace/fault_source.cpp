@@ -122,7 +122,8 @@ class FaultInjectingTraceSource final : public TraceSource {
   }
 
   // materialized() stays null (base default): faults must travel the
-  // streaming pipeline and meet its validation, never a dense shortcut.
+  // cursor and meet its validation, never a direct read of the inner
+  // vector.
 
  private:
   std::shared_ptr<const TraceSource> inner_;

@@ -249,8 +249,8 @@ class ReadAheadSource final : public TraceSource {
     return std::make_unique<ReadAheadCursor>(inner_->cursor(), chunk_);
   }
   // Deliberately no materialized() forwarding: decorating a materialized
-  // source is legal but pointless, and consumers should keep taking the
-  // dense path on the undecorated original.
+  // source is legal but pointless, and whole-trace consumers should read
+  // the undecorated original.
 
  private:
   std::shared_ptr<const TraceSource> inner_;

@@ -68,8 +68,8 @@ class TraceCursor {
   /// number copied (0 only when done()). Equivalent to that many
   /// peek()/advance() pairs — same stream, same RNG draws, same checkpoint
   /// state afterwards — but one virtual call per span instead of two per
-  /// request, which is what makes streamed simulation competitive with the
-  /// materialized fast path. Implementations with cheap bulk access
+  /// request, which is what lets every simulator read through cursors.
+  /// Implementations with cheap bulk access
   /// (vectors, files, generators) override the default loop.
   virtual std::size_t next_span(PageId* out, std::size_t max) {
     std::size_t n = 0;
@@ -92,9 +92,11 @@ class TraceSource {
   /// A fresh cursor positioned at the first request.
   virtual std::unique_ptr<TraceCursor> cursor() const = 0;
 
-  /// If the whole sequence is resident in memory, the backing Trace —
-  /// consumers use this to keep the dense interned fast path. Null for
-  /// lazy (generator / file) sources.
+  /// If the whole sequence is resident in memory, the backing Trace. Only
+  /// the offline consumers that need the whole trace at once use it (the
+  /// OPT bounds, the offline packer, Belady's next-use table) to skip a
+  /// copy; simulators always read through cursor(). Null for lazy
+  /// (generator / file) sources.
   virtual const Trace* materialized() const { return nullptr; }
 };
 

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "green/box_runner.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
+#include "trace/trace_source.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -98,6 +106,130 @@ TEST(BoxRunner, ResetRestartsFromBeginning) {
   runner.reset();
   EXPECT_FALSE(runner.finished());
   EXPECT_EQ(runner.position(), 0u);
+}
+
+// A per-request model of the paper's box (Section 2), written for clarity
+// rather than speed: LRU on `height` slots as a std::list (MRU at the
+// front), a hit costs 1 tick and a miss s ticks, a request that does not
+// fit stalls the processor to the box boundary, and the compartment starts
+// empty on `fresh` or on a height change. reset() rewinds to the first
+// request and empties the cache.
+class NaiveBoxRunner {
+ public:
+  NaiveBoxRunner(std::vector<PageId> requests, Time miss_cost)
+      : requests_(std::move(requests)), miss_cost_(miss_cost) {}
+
+  BoxStepResult run_box(Height height, Time duration, bool fresh) {
+    if (fresh || height != height_) {
+      lru_.clear();
+      height_ = height;
+    }
+    BoxStepResult step;
+    Time remaining = duration;
+    while (remaining > 0 && pos_ < requests_.size()) {
+      const PageId page = requests_[pos_];
+      const auto it = std::find(lru_.begin(), lru_.end(), page);
+      const bool hit = it != lru_.end();
+      const Time cost = hit ? 1 : miss_cost_;
+      if (cost > remaining) break;
+      if (hit) {
+        lru_.erase(it);
+      } else if (lru_.size() == height_) {
+        lru_.pop_back();
+      }
+      lru_.push_front(page);
+      ++(hit ? step.hits : step.misses);
+      remaining -= cost;
+      step.busy_time += cost;
+      ++step.requests_completed;
+      ++pos_;
+    }
+    step.stall_time = remaining;
+    step.finished = pos_ >= requests_.size();
+    return step;
+  }
+
+  void reset() {
+    pos_ = 0;
+    lru_.clear();
+  }
+
+  std::size_t position() const { return pos_; }
+
+ private:
+  std::vector<PageId> requests_;
+  Time miss_cost_;
+  std::size_t pos_ = 0;
+  std::list<PageId> lru_;
+  Height height_ = 0;
+};
+
+// Drives `runner` and the naive model through the same seeded random box
+// sequence (heights 1..12, durations 0..2*h*s, mostly fresh boxes, with
+// occasional continuations and reset() calls) and compares every step.
+void expect_matches_naive(BoxRunner& runner,
+                          const std::vector<PageId>& requests, Time miss_cost,
+                          std::uint64_t seed, const std::string& label) {
+  NaiveBoxRunner naive(requests, miss_cost);
+  Rng rng(seed);
+  int resets = 0;
+  for (int box = 0; box < 20000; ++box) {
+    const auto height = static_cast<Height>(1 + rng.next_below(12));
+    const Time duration = rng.next_below(2 * height * miss_cost + 1);
+    const bool fresh = rng.next_below(4) != 0;
+    const BoxStepResult got = runner.run_box(height, duration, fresh);
+    const BoxStepResult want = naive.run_box(height, duration, fresh);
+    const std::string where = label + " box " + std::to_string(box);
+    ASSERT_EQ(got.requests_completed, want.requests_completed) << where;
+    ASSERT_EQ(got.hits, want.hits) << where;
+    ASSERT_EQ(got.misses, want.misses) << where;
+    ASSERT_EQ(got.busy_time, want.busy_time) << where;
+    ASSERT_EQ(got.stall_time, want.stall_time) << where;
+    ASSERT_EQ(got.finished, want.finished) << where;
+    ASSERT_EQ(runner.position(), naive.position()) << where;
+    ASSERT_EQ(runner.finished(), want.finished) << where;
+    if (want.finished || rng.next_below(200) == 0) {
+      if (want.finished && ++resets == 3) return;
+      runner.reset();
+      naive.reset();
+      ASSERT_EQ(runner.position(), 0u) << where;
+      ASSERT_EQ(runner.total_hits(), 0u) << where;
+    }
+  }
+  FAIL() << label << ": the box sequence never finished the trace 3 times";
+}
+
+TEST(BoxRunnerReference, MatchesNaiveModelOverTrace) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng gen_rng(seed);
+    // Structured ids: processor 5's disjoint space (5 << 48 | local).
+    const Trace trace = gen::rebase_to_proc(
+        seed % 2 == 0 ? gen::zipf(24, 1500, 0.9, gen_rng)
+                      : gen::polluted_cycle(9, 1500, 5),
+        5);
+    for (const Time s : {Time{1}, Time{6}}) {
+      BoxRunner runner(trace, s);
+      expect_matches_naive(runner, trace.requests(), s, seed * 31 + s,
+                           "trace seed " + std::to_string(seed) + " s " +
+                               std::to_string(s));
+    }
+  }
+}
+
+TEST(BoxRunnerReference, MatchesNaiveModelOverGeneratorSource) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng gen_rng(seed);
+    // A lazy source, rebased into processor 3's id space: never
+    // materialized for the runner.
+    const auto source =
+        rebase_source(gen::zipf_source(40, 1700, 0.8, gen_rng), 3);
+    ASSERT_EQ(source->materialized(), nullptr);
+    const Trace expected = materialize(*source);
+    ASSERT_EQ(expected[0] >> 48, 3u);
+    BoxRunner runner(*source, 4);
+    expect_matches_naive(runner, expected.requests(), 4, seed * 17,
+                         "source seed " + std::to_string(seed));
+  }
 }
 
 TEST(RunProfile, AccountsImpactExactly) {

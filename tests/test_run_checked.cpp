@@ -8,6 +8,9 @@
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "test_helpers.hpp"
+#include "trace/fault_source.hpp"
+#include "trace/generators.hpp"
+#include "trace/trace_source.hpp"
 #include "trace/workload.hpp"
 
 namespace ppg {
@@ -143,6 +146,39 @@ TEST(RunChecked, CleanRunMatchesLegacyRun) {
   EXPECT_EQ(run.result.hits, want.hits);
   EXPECT_EQ(run.result.misses, want.misses);
   EXPECT_EQ(run.result.peak_concurrent_height, want.peak_concurrent_height);
+}
+
+TEST(RunChecked, ReservedPageInMaterializedTraceIsCorruptTrace) {
+  // The kInvalidPage sentinel at request 300 of processor 1 (past the first
+  // span refill). A materialized copy of the same instance must be
+  // rejected exactly like the streamed one: same code, processor and
+  // stream offset.
+  TraceFaultSpec spec;
+  spec.fault = TraceFaultClass::kHostilePage;
+  spec.at = 300;
+  MultiTraceSource streamed;
+  streamed.add(rebase_source(gen::cyclic_source(6, 400), 0));
+  streamed.add(make_fault_injecting_source(
+      rebase_source(gen::cyclic_source(9, 400), 1), spec));
+  const MultiTrace materialized = streamed.materialize();
+  ASSERT_EQ(materialized.trace(1)[300], kInvalidPage);
+
+  EngineConfig ec;
+  ec.cache_size = 16;
+  ec.miss_cost = 4;
+  auto streamed_sched = make_scheduler(SchedulerKind::kStatic, 0);
+  const CheckedRun want = run_parallel_checked(streamed, *streamed_sched, ec);
+  auto materialized_sched = make_scheduler(SchedulerKind::kStatic, 0);
+  const CheckedRun got =
+      run_parallel_checked(materialized, *materialized_sched, ec);
+
+  ASSERT_FALSE(want.status.ok());
+  EXPECT_EQ(want.status.error.code, ErrorCode::kCorruptTrace);
+  EXPECT_EQ(want.status.error.byte_offset, 300u);
+  ASSERT_FALSE(got.status.ok()) << "materialized trace accepted kInvalidPage";
+  EXPECT_EQ(got.status.error.code, want.status.error.code);
+  EXPECT_EQ(got.status.error.proc, want.status.error.proc);
+  EXPECT_EQ(got.status.error.byte_offset, want.status.error.byte_offset);
 }
 
 }  // namespace

@@ -169,8 +169,8 @@ TEST(FaultInjectionTraceTest, SpecRegistryWrapsEveryProcessor) {
       "workload(kind=hetero-mix,p=2,k=16,n=200,seed=3,s=4))");
   ASSERT_EQ(sources.num_procs(), 2);
   for (ProcId i = 0; i < 2; ++i) {
-    // The decorator hides any materialized fast path: hostile input must
-    // flow through the streaming validation.
+    // The decorator hides any materialized backing vector: hostile input
+    // must flow through the cursor's validation.
     EXPECT_EQ(sources.source(i).materialized(), nullptr);
     const auto cursor = sources.source(i).cursor();
     PageId buffer[64];

@@ -67,8 +67,8 @@ TEST(StreamingEquivalence, EverySchedulerMatchesMaterialized) {
     for (const SchedulerKind kind : all_scheduler_kinds()) {
       // Fresh scheduler per run: randomized schedulers must see identical
       // seeds and draw identical streams in both modes.
-      const auto dense = make_scheduler(kind, /*seed=*/9);
-      const ParallelRunResult a = run_parallel(traces, *dense, ec);
+      const auto materialized = make_scheduler(kind, /*seed=*/9);
+      const ParallelRunResult a = run_parallel(traces, *materialized, ec);
       const auto streamed = make_scheduler(kind, /*seed=*/9);
       const ParallelRunResult b = run_parallel(sources, *streamed, ec);
       expect_same_result(a, b, std::string(scheduler_kind_name(kind)) + "/" +
@@ -132,43 +132,6 @@ TEST(StreamingEquivalence, OptBoundsMatchMaterialized) {
   EXPECT_EQ(a.lb_impact, b.lb_impact);
 }
 
-TEST(StreamingEquivalence, BoxRunnerStreamingModeMatchesDense) {
-  const Trace trace = gen::polluted_cycle(9, 400, 5);
-  const auto view = VectorTraceSource::view(trace);
-
-  BoxRunner dense(trace, /*miss_cost=*/6);
-  // The cursor constructor forces streaming mode even though the payload
-  // is resident — the two modes must agree box by box.
-  BoxRunner streaming(view->cursor(), /*miss_cost=*/6);
-
-  const struct {
-    Height h;
-    Time d;
-  } boxes[] = {{4, 40}, {2, 16}, {8, 100}, {1, 9}, {16, 300}, {8, 500}};
-  for (const auto& box : boxes) {
-    const BoxStepResult a = dense.run_box(box.h, box.d);
-    const BoxStepResult b = streaming.run_box(box.h, box.d);
-    EXPECT_EQ(a.requests_completed, b.requests_completed);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.busy_time, b.busy_time);
-    EXPECT_EQ(a.stall_time, b.stall_time);
-    EXPECT_EQ(a.finished, b.finished);
-    EXPECT_EQ(dense.position(), streaming.position());
-    if (a.finished) break;
-  }
-  EXPECT_EQ(dense.total_hits(), streaming.total_hits());
-  EXPECT_EQ(dense.total_misses(), streaming.total_misses());
-
-  // reset() rewinds the streaming cursor to its initial state.
-  dense.reset();
-  streaming.reset();
-  const BoxStepResult a = dense.run_box(4, 40);
-  const BoxStepResult b = streaming.run_box(4, 40);
-  EXPECT_EQ(a.requests_completed, b.requests_completed);
-  EXPECT_EQ(a.misses, b.misses);
-}
-
 TEST(StreamingEquivalence, RunProfileMatchesOverGeneratorSource) {
   Rng rng(41);
   const auto source = gen::zipf_source(30, 600, 1.0, rng);
@@ -194,11 +157,11 @@ TEST(StreamingEquivalence, PolicyRunnerStreamsOnlinePolicies) {
        {PolicyKind::kLru, PolicyKind::kFifo, PolicyKind::kClock,
         PolicyKind::kRandom, PolicyKind::kLfu, PolicyKind::kMru,
         PolicyKind::kSlru, PolicyKind::kArc}) {
-    PolicyBoxRunner dense(trace, /*miss_cost=*/5, kind, /*seed=*/3);
+    PolicyBoxRunner materialized(trace, /*miss_cost=*/5, kind, /*seed=*/3);
     PolicyBoxRunner streaming(view->cursor(), /*miss_cost=*/5, kind,
                               /*seed=*/3);
     while (true) {
-      const BoxStepResult a = dense.run_box(8, 120);
+      const BoxStepResult a = materialized.run_box(8, 120);
       const BoxStepResult b = streaming.run_box(8, 120);
       ASSERT_EQ(a.requests_completed, b.requests_completed)
           << "policy " << static_cast<int>(kind);
@@ -212,8 +175,8 @@ TEST(StreamingEquivalence, PolicyRunnerStreamsOnlinePolicies) {
 TEST(StreamingEquivalence, StreamingBeladyIsRejected) {
   const Trace trace = gen::cyclic(4, 20);
   const auto view = VectorTraceSource::view(trace);
-  // Dense mode (Trace or materialized source) supports the clairvoyant
-  // policy; a raw cursor cannot.
+  // A Trace or materialized source supports the clairvoyant policy; a raw
+  // cursor cannot.
   PolicyBoxRunner ok(*view, /*miss_cost=*/2, PolicyKind::kBelady);
   EXPECT_DEATH(PolicyBoxRunner(view->cursor(), 2, PolicyKind::kBelady), "");
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <vector>
 
 #include "util/lru_set.hpp"
@@ -83,14 +84,20 @@ TEST(LruSet, EraseLruUpdatesVictim) {
 }
 
 TEST(LruSet, ClearEmptiesEverything) {
+  // clear() only bumps the index epoch; entries stamped before it must
+  // read as absent and must not resurrect when the table fills again.
   LruSet set(3);
   set.access(1);
   set.access(2);
   set.clear();
   EXPECT_TRUE(set.empty());
   EXPECT_FALSE(set.contains(1));
+  EXPECT_FALSE(set.contains(2));
   set.access(5);
   EXPECT_TRUE(set.contains(5));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.pages_mru_order(), (std::vector<PageId>{5}));
 }
 
 TEST(LruSet, CapacityOneAlwaysReplaces) {
@@ -191,84 +198,77 @@ TEST(LruSet, ResetChangesCapacityAndEmpties) {
   EXPECT_FALSE(set.contains(1));
 }
 
-// The dense-index variant must be observationally identical to the hash
-// variant on any stream drawn from its id universe.
-class DenseLruSetParity : public ::testing::TestWithParam<Height> {};
+// Parity against a naive std::list LRU (MRU at the front) on a mixed
+// operation stream: fused and plain accesses, erases, clears and resets
+// that grow the index table mid-stream. Page ids are sparse and structured
+// (proc << 48 | local, several processors), so their raw low bits collide
+// under a power-of-two mask unless the index mixes them.
+class LruSetParity : public ::testing::TestWithParam<Height> {};
 
-TEST_P(DenseLruSetParity, MatchesHashIndexVariant) {
-  const Height capacity = GetParam();
-  const std::size_t universe = capacity * 3 + 1;
-  DenseLruSet dense(capacity, universe);
-  LruSet hash(capacity);
-  Rng rng(4321 + capacity);
-  for (int i = 0; i < 5000; ++i) {
-    const PageId page = rng.next_below(universe);
-    PageId dense_evicted = kInvalidPage;
-    PageId hash_evicted = kInvalidPage;
-    const bool dense_hit = dense.access(page, dense_evicted);
-    const bool hash_hit = hash.access(page, hash_evicted);
-    ASSERT_EQ(dense_hit, hash_hit) << "iteration " << i;
-    ASSERT_EQ(dense_evicted, hash_evicted) << "iteration " << i;
-    ASSERT_EQ(dense.pages_mru_order(), hash.pages_mru_order());
-    // Sprinkle clears and resets to exercise the epoch-stamped index.
-    if (i % 701 == 700) {
-      dense.clear();
-      hash.clear();
-    }
-    if (i % 1301 == 1300) {
-      const Height next = 1 + (capacity + static_cast<Height>(i)) % capacity;
-      dense.reset(next);
-      hash.reset(next);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Capacities, DenseLruSetParity,
-                         ::testing::Values(1, 2, 5, 16, 33));
-
-// The open-addressing flat-index variant (the streaming box runner's
-// cache) must also be observationally identical to the hash variant —
-// including on sparse, structured ids (proc << 48 | local) and with resets
-// growing past the initial table size.
-class FlatLruSetParity : public ::testing::TestWithParam<Height> {};
-
-TEST_P(FlatLruSetParity, MatchesHashIndexVariant) {
-  const Height capacity = GetParam();
-  const std::size_t universe = capacity * 3 + 1;
-  FlatLruSet flat(capacity);
-  LruSet hash(capacity);
+TEST_P(LruSetParity, MatchesListOracle) {
+  Height capacity = GetParam();
+  const std::uint64_t universe = capacity * 3 + 1;
+  LruSet set(capacity);
+  std::list<PageId> oracle;
   Rng rng(987 + capacity);
   for (int i = 0; i < 5000; ++i) {
-    // Structured sparse ids: the high bits carry a processor tag, so the
-    // raw low bits collide under a power-of-two mask without mixing.
-    const PageId page = (PageId{3} << 48) | rng.next_below(universe);
-    PageId flat_evicted = kInvalidPage;
-    PageId hash_evicted = kInvalidPage;
-    const bool flat_hit = flat.access(page, flat_evicted);
-    const bool hash_hit = hash.access(page, hash_evicted);
-    ASSERT_EQ(flat_hit, hash_hit) << "iteration " << i;
-    ASSERT_EQ(flat_evicted, hash_evicted) << "iteration " << i;
-    ASSERT_EQ(flat.pages_mru_order(), hash.pages_mru_order());
+    const PageId page =
+        (PageId{1 + rng.next_below(3)} << 48) | rng.next_below(universe);
+    const auto it = std::find(oracle.begin(), oracle.end(), page);
+    const bool present = it != oracle.end();
+    if (i % 97 == 96) {
+      // Erase: present or not, the answer must agree.
+      ASSERT_EQ(set.erase(page), present) << "iteration " << i;
+      if (present) oracle.erase(it);
+    } else {
+      PageId want_evicted = kInvalidPage;
+      if (present) {
+        oracle.erase(it);
+      } else if (oracle.size() == capacity) {
+        want_evicted = oracle.back();
+        oracle.pop_back();
+      }
+      oracle.push_front(page);
+      // Alternate the fused pair and access() so both entry points face
+      // the oracle.
+      PageId evicted = kInvalidPage;
+      bool hit;
+      if (i % 2 == 0) {
+        hit = set.try_touch(page);
+        if (!hit) evicted = set.insert_absent(page);
+      } else {
+        hit = set.access(page, evicted);
+      }
+      ASSERT_EQ(hit, present) << "iteration " << i;
+      ASSERT_EQ(evicted, want_evicted) << "iteration " << i;
+    }
+    ASSERT_EQ(set.size(), oracle.size()) << "iteration " << i;
+    ASSERT_EQ(set.pages_mru_order(),
+              std::vector<PageId>(oracle.begin(), oracle.end()))
+        << "iteration " << i;
+    ASSERT_EQ(set.mru_page(), oracle.empty() ? kInvalidPage : oracle.front());
+    ASSERT_EQ(set.lru_page(), oracle.empty() ? kInvalidPage : oracle.back());
     if (i % 701 == 700) {
-      flat.clear();
-      hash.clear();
+      set.clear();
+      oracle.clear();
     }
     if (i % 1301 == 1300) {
-      // Growing resets force the flat table to rebuild mid-stream.
-      const Height next = 1 + (capacity + static_cast<Height>(i)) % (2 * capacity);
-      flat.reset(next);
-      hash.reset(next);
+      // Growing resets force the index table to rebuild mid-stream.
+      capacity = 1 + (capacity + static_cast<Height>(i)) % (2 * GetParam());
+      set.reset(capacity);
+      oracle.clear();
+      ASSERT_EQ(set.capacity(), capacity);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Capacities, FlatLruSetParity,
+INSTANTIATE_TEST_SUITE_P(Capacities, LruSetParity,
                          ::testing::Values(1, 2, 5, 16, 33));
 
-TEST(FlatLruSet, EraseBackwardShiftKeepsProbesFindable) {
+TEST(LruSet, EraseBackwardShiftKeepsProbesFindable) {
   // Insert colliding keys, erase one from the middle of the cluster, and
   // verify the displaced keys remain findable (no tombstone holes).
-  FlatLruSet set(8);
+  LruSet set(8);
   const std::vector<PageId> pages = {11, 22, 33, 44, 55, 66, 77, 88};
   for (const PageId p : pages) set.access(p);
   ASSERT_TRUE(set.full());
@@ -284,8 +284,8 @@ TEST(FlatLruSet, EraseBackwardShiftKeepsProbesFindable) {
   EXPECT_EQ(set.size(), 8u);
 }
 
-TEST(FlatLruSet, ResetGrowsCapacityPastInitialTable) {
-  FlatLruSet set(2);
+TEST(LruSet, ResetGrowsCapacityPastInitialTable) {
+  LruSet set(2);
   set.reset(64);
   for (PageId p = 0; p < 64; ++p) {
     PageId evicted = kInvalidPage;
@@ -294,19 +294,6 @@ TEST(FlatLruSet, ResetGrowsCapacityPastInitialTable) {
   }
   EXPECT_TRUE(set.full());
   for (PageId p = 0; p < 64; ++p) ASSERT_TRUE(set.contains(p));
-}
-
-TEST(DenseLruSet, ClearIsEpochBased) {
-  DenseLruSet set(4, std::size_t{8});
-  for (PageId p = 0; p < 4; ++p) set.access(p);
-  set.clear();
-  EXPECT_TRUE(set.empty());
-  for (PageId p = 0; p < 8; ++p) EXPECT_FALSE(set.contains(p));
-  // Stale entries from before the clear must not resurrect.
-  set.access(7);
-  EXPECT_TRUE(set.contains(7));
-  EXPECT_FALSE(set.contains(0));
-  EXPECT_EQ(set.size(), 1u);
 }
 
 }  // namespace
