@@ -14,22 +14,30 @@
 # --engine-threads max, so the byte-compares double as proof that the
 # threaded engine (and a resume under a different thread count) changes
 # nothing.
-# Plus one budget gate: cells that exhaust --budget must report structured
-# [cell-budget-exceeded] rows and exit 0 (a failed cell is data, not a
-# crash), and two lease gates: a second writer against a journal whose
-# lease names a LIVE process must refuse with structured [journal-locked]
-# (and --steal-lease must not override it), while a lease left by a DEAD
-# process refuses by default and yields to --steal-lease.
+# The SIGKILLed run's journal lock dies with it, so gate 3 is a plain
+# --resume.
+# Plus a faulty-cell gate (failed cells survive kill/resume as data), a
+# budget gate (cells that exhaust --budget report structured
+# [cell-budget-exceeded] rows and exit 0), a lock gate (while writer 1 is
+# alive, a second writer on its journal exits non-zero with
+# [journal-locked]), and a real-bench gate: makespan_scaling,
+# ablation_inbox_policy and shared_pages run fully journaled, the journal
+# is cut to half its bytes (a torn tail), and --resume must reproduce the
+# golden output byte for byte.
 #
-# Usage: scripts/chaos.sh [path-to-chaos_sweep]
+# Usage: scripts/chaos.sh [path-to-chaos_sweep] [bench-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BIN="${1:-./build/examples-bin/chaos_sweep}"
-if [[ ! -x "${BIN}" ]]; then
-  echo "chaos.sh: ${BIN} not built (cmake --build build)" >&2
-  exit 1
-fi
+BENCH_DIR="${2:-./build/bench}"
+BENCHES=(makespan_scaling ablation_inbox_policy shared_pages)
+for bin in "${BIN}" "${BENCHES[@]/#/${BENCH_DIR}/}"; do
+  if [[ ! -x "${bin}" ]]; then
+    echo "chaos.sh: ${bin} not built (cmake --build build)" >&2
+    exit 1
+  fi
+done
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "${WORK}"' EXIT
@@ -62,11 +70,9 @@ for JOBS in 1 max; do
   fi
 
   # Gate 3: resume completes the sweep; stdout must match golden exactly.
-  # The SIGKILLed run left a lease naming its own dead pid, so the resume
-  # must steal it (the dedicated lease gates below check that a PLAIN
-  # resume refuses first).
+  # The kernel released the killed run's lock, so a plain --resume works.
   "${BIN}" --cells "${CELLS}" --jobs "${JOBS}" --engine-threads max \
-           --journal "${journal}" --resume --steal-lease \
+           --journal "${journal}" --resume \
            > "${WORK}/resumed-${tag}.txt" 2> "${WORK}/resumed-${tag}.err"
   cmp "${golden}" "${WORK}/resumed-${tag}.txt" || {
     echo "chaos.sh FAIL (${tag}): resumed output differs from golden" >&2
@@ -110,7 +116,7 @@ if [[ "${status}" -ne 137 ]]; then
   exit 1
 fi
 "${BIN}" --cells "${CELLS}" --faulty-every 5 --engine-threads max \
-         --journal "${faulty_journal}" --resume --steal-lease \
+         --journal "${faulty_journal}" --resume \
          > "${WORK}/faulty-resumed.txt" 2> "${WORK}/faulty-resumed.err"
 cmp "${faulty_golden}" "${WORK}/faulty-resumed.txt" || {
   echo "chaos.sh FAIL: faulty-cell resume differs from golden" >&2
@@ -125,31 +131,31 @@ grep -q "cell-budget-exceeded" "${budget_out}" || {
   exit 1
 }
 
-# Lease-refusal gate: while writer 1 holds the journal lease, a concurrent
-# writer 2 must exit with structured [journal-locked] — even with
-# --steal-lease, because the owner is demonstrably alive.
-lease_journal="${WORK}/lease.ppgjrnl"
-"${BIN}" --cells 4000 --journal "${lease_journal}" \
-         > "${WORK}/lease-w1.txt" 2>&1 &
+# Lock gate: while writer 1 is alive and appending, a second writer on the
+# same journal (fresh or --resume) must exit non-zero with structured
+# [journal-locked] instead of interleaving records.
+lock_journal="${WORK}/lock.ppgjrnl"
+"${BIN}" --cells 4000 --journal "${lock_journal}" \
+         > "${WORK}/lock-w1.txt" 2>&1 &
 w1=$!
 for _ in $(seq 1 200); do
-  [[ -f "${lease_journal}.lock" ]] && break
+  [[ -s "${lock_journal}" ]] && break
   sleep 0.05
 done
-[[ -f "${lease_journal}.lock" ]] || {
-  echo "chaos.sh FAIL: writer 1 never published its lease" >&2
+[[ -s "${lock_journal}" ]] || {
+  echo "chaos.sh FAIL: writer 1 never started its journal" >&2
   kill -KILL "${w1}" 2>/dev/null || true
   exit 1
 }
-for steal_flag in "" "--steal-lease"; do
+for resume_flag in "" "--resume"; do
   set +e
-  # shellcheck disable=SC2086  # steal_flag is intentionally word-split
-  "${BIN}" --cells 4000 --journal "${lease_journal}" --resume ${steal_flag} \
-           > "${WORK}/lease-w2.txt" 2>&1
+  # shellcheck disable=SC2086  # resume_flag is intentionally word-split
+  "${BIN}" --cells 4000 --journal "${lock_journal}" ${resume_flag} \
+           > "${WORK}/lock-w2.txt" 2>&1
   status=$?
   set -e
-  if [[ "${status}" -eq 0 ]] || ! grep -q "journal-locked" "${WORK}/lease-w2.txt"; then
-    echo "chaos.sh FAIL: second writer (${steal_flag:-no steal}) did not refuse" \
+  if [[ "${status}" -eq 0 ]] || ! grep -q "journal-locked" "${WORK}/lock-w2.txt"; then
+    echo "chaos.sh FAIL: second writer (${resume_flag:-fresh}) did not refuse" \
          "with [journal-locked] (exit ${status})" >&2
     kill -KILL "${w1}" 2>/dev/null || true
     exit 1
@@ -158,30 +164,34 @@ done
 kill -KILL "${w1}" 2>/dev/null || true
 wait "${w1}" 2>/dev/null || true
 
-# Lease-steal gate: the SIGKILLed writer's lease names a dead pid; a plain
-# restart refuses with the steal hint, and --steal-lease takes over and
-# completes the sweep.
-[[ -f "${lease_journal}.lock" ]] || {
-  echo "chaos.sh FAIL: killed writer left no lease behind" >&2
-  exit 1
+# Real-bench gate: each bench runs golden, then fully journaled with the
+# threaded engine; the journal is cut to half its bytes (a torn tail) and a
+# --resume must recompute the lost cells and print golden byte for byte.
+bench_gate() {
+  local name="$1"
+  shift
+  local bin="${BENCH_DIR}/${name}"
+  local dir="${WORK}/bench-${name}"
+  mkdir -p "${dir}"
+  "${bin}" "$@" > "${dir}/golden.txt"
+  "${bin}" "$@" --engine-threads max --journal "${dir}/journal.ppgjrnl" \
+      > "${dir}/journaled.txt"
+  cmp "${dir}/golden.txt" "${dir}/journaled.txt" || {
+    echo "chaos.sh FAIL (${name}): journaled output differs from golden" >&2
+    exit 1
+  }
+  local size
+  size=$(wc -c < "${dir}/journal.ppgjrnl")
+  truncate -s "$((size / 2))" "${dir}/journal.ppgjrnl"
+  "${bin}" "$@" --journal "${dir}/journal.ppgjrnl" --resume \
+      > "${dir}/resumed.txt"
+  cmp "${dir}/golden.txt" "${dir}/resumed.txt" || {
+    echo "chaos.sh FAIL (${name}): half-journal resume differs from golden" >&2
+    exit 1
+  }
 }
-set +e
-"${BIN}" --cells 4000 --journal "${lease_journal}" --resume \
-         > "${WORK}/lease-stale.txt" 2>&1
-status=$?
-set -e
-if [[ "${status}" -eq 0 ]] || ! grep -q "steal-lease" "${WORK}/lease-stale.txt"; then
-  echo "chaos.sh FAIL: stale lease was not refused with the --steal-lease hint" >&2
-  exit 1
-fi
-"${BIN}" --cells 4000 --journal "${lease_journal}" --resume --steal-lease \
-         > "${WORK}/lease-stolen.txt" 2>&1 || {
-  echo "chaos.sh FAIL: --steal-lease could not take over a dead owner's journal" >&2
-  exit 1
-}
-if [[ -f "${lease_journal}.lock" ]]; then
-  echo "chaos.sh FAIL: lease not released after a clean exit" >&2
-  exit 1
-fi
+bench_gate makespan_scaling --quick --jobs max
+bench_gate ablation_inbox_policy --jobs max
+bench_gate shared_pages --jobs max
 
-echo "chaos OK (kill/resume/torn byte-identical at --jobs 1 and max; budget rows structured; lease refusal/steal enforced)"
+echo "chaos OK (kill/resume/torn byte-identical at --jobs 1 and max; budget rows structured; live writer locks the journal; 3 benches resume a half journal byte-identically)"

@@ -8,11 +8,10 @@
 # injection,
 # trace corruption, replay) again under ASan/UBSan, then the parallel-sweep
 # determinism suite raced under ThreadSanitizer, then the crash-safety
-# drill (scripts/chaos.sh: SIGKILL mid-sweep, resume, torn-journal
-# recovery, lease refusal/steal, all byte-compared), then the
-# distributed-shard chaos gate (scripts/shard_chaos.sh: 4 shard workers, 2
-# SIGKILLed and supervisor-restarted, journals merged and re-rendered),
-# then the constant-memory gates (a 10^8-request streamed run and a
+# drill (scripts/chaos.sh: SIGKILL mid-sweep and a plain resume, torn-journal
+# recovery, journal-lock refusal of a live second writer, and three real
+# benches resumed from a half-cut journal, all byte-compared), then the
+# constant-memory gates (a 10^8-request streamed run and a
 # 10^5-tenant service soak, both under a 256 MB address-space cap),
 # then the tenant fault-isolation chaos gate (service_chaos: 10^5 tenants,
 # seeded injected-fault fraction, healthy outcomes byte-identical across
@@ -53,7 +52,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|SweepJournal|AtomicFile|Interrupt|CellCodec|JournalLease|JournalMerge|EngineStepper|PagingService')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|SweepJournal|AtomicFile|Interrupt|CellCodec|EngineStepper|PagingService')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant
@@ -72,7 +71,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build build-thread -j "$(nproc)"
   (cd build-thread &&
    ctest --output-on-failure -j "$(nproc)" \
-         -R 'ThreadPool|ParallelSweep|SweepJournal|Interrupt|JournalLease|EngineThreads|EngineStepper|PagingService')
+         -R 'ThreadPool|ParallelSweep|SweepJournal|Interrupt|EngineThreads|EngineStepper|PagingService')
 
   # TSan variant of the service soak: race the admission/stepper/fold path
   # end to end with the engine pool maxed. Reduced tenant count and no
@@ -88,17 +87,12 @@ if [[ "${SAN}" != "none" ]]; then
   echo "TSan fault-isolation gate OK (service_chaos, 5*10^3 tenants)"
 fi
 
-# Crash-safety gate: SIGKILL a journaled sweep mid-flight, resume it, tear
-# the journal mid-record and resume again — all byte-identical to an
-# uninterrupted run, at --jobs 1 and max. Also the lease gates: live
-# owners refuse second writers, dead owners yield only to --steal-lease.
+# Crash-safety gate: SIGKILL a journaled sweep mid-flight, resume it with a
+# plain --resume, tear the journal mid-record and resume again — all
+# byte-identical to an uninterrupted run, at --jobs 1 and max. Also the lock
+# gate (a live writer refuses a second one) and three real benches resumed
+# from a journal cut to half its bytes.
 scripts/chaos.sh
-
-# Distributed-shard gate: 4-shard runs (drill example at --jobs 1 and max,
-# plus three real benches) with 2 shards SIGKILLed mid-flight, restarted
-# by the supervisor with lease steals and backoff, merged by
-# tools/journal_merge, and re-rendered — byte-identical to golden.
-scripts/shard_chaos.sh
 
 # Constant-memory gate: a generator-backed 10^8-request streamed run must
 # complete under a hard 256 MB address-space cap (the materialized instance
@@ -113,15 +107,22 @@ echo "streaming memory gate OK (10^8 requests under 256 MB)"
 # periodic departures) under the same 256 MB cap — memory stays
 # O(active tenants), not O(submitted). Run serial and with the intra-run
 # engine pool maxed; the two must print byte-identical metrics.
+# The threaded leg caps glibc at one malloc arena: by default every pool
+# thread gets its own arena, each reserving 64 MiB of address space, which
+# the address-space cap counts although the run touches a fraction of it.
+# peak_rss_mb= is a host measurement, not a simulated result, so it is the
+# one field left out of the byte-compare.
 (
   ulimit -v 262144
   ./build/examples-bin/service_sim --tenants 100000 --depart-every 97 \
       --max-rss-mb 256 > /tmp/service_soak_serial.txt
+  MALLOC_ARENA_MAX=1 \
   ./build/examples-bin/service_sim --tenants 100000 --depart-every 97 \
       --max-rss-mb 256 --engine-threads max > /tmp/service_soak_threads.txt
 )
-diff <(tail -n +2 /tmp/service_soak_serial.txt) \
-     <(tail -n +2 /tmp/service_soak_threads.txt)
+drop_rss() { tail -n +2 "$1" | sed -E 's/ ?peak_rss_mb=[0-9]+//'; }
+diff <(drop_rss /tmp/service_soak_serial.txt) \
+     <(drop_rss /tmp/service_soak_threads.txt)
 echo "service soak gate OK (10^5 tenants under 256 MB, serial == threaded)"
 
 # Chaos soak gate: 10^5 tenants, a seeded tenth of them carrying injected

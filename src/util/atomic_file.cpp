@@ -1,6 +1,7 @@
 #include "util/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -89,13 +90,42 @@ DurableAppendFile& DurableAppendFile::operator=(
 DurableAppendFile DurableAppendFile::open(const std::string& path,
                                           bool truncate) {
   DurableAppendFile file;
-  int flags = O_WRONLY | O_CREAT | O_APPEND;
-  if (truncate) flags |= O_TRUNC;
-  file.fd_ = ::open(path.c_str(), flags, 0644);
+  // No O_TRUNC: a writer refused by the lock must leave the holder's
+  // bytes untouched, so truncation waits until the lock is ours.
+  file.fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                    0644);
   if (file.fd_ < 0) throw_io("cannot open append file", path);
   file.path_ = path;
-  if (truncate) sync_parent_dir(path);
+  while (::flock(file.fd_, LOCK_EX | LOCK_NB) != 0) {
+    if (errno == EINTR) continue;
+    if (errno == EWOULDBLOCK) {
+      throw_error(ErrorCode::kJournalLocked,
+                  "file is locked by another open writer; a second writer "
+                  "would interleave records",
+                  kNoOffset, path);
+    }
+    throw_io("flock failed", path);
+  }
+  if (truncate) file.truncate_to(0);
+  sync_parent_dir(path);
   return file;
+}
+
+std::string DurableAppendFile::read_all() const {
+  if (fd_ < 0)
+    throw_error(ErrorCode::kIoError, "read on closed file", kNoOffset, path_);
+  std::string bytes;
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::pread(fd_, buf, sizeof buf,
+                              static_cast<off_t>(bytes.size()));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_io("read failed", path_);
+    }
+    if (n == 0) return bytes;
+    bytes.append(buf, static_cast<std::size_t>(n));
+  }
 }
 
 void DurableAppendFile::append(std::string_view bytes) {

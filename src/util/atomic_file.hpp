@@ -12,9 +12,11 @@
 //    to disk before returning, for incremental logs (the sweep checkpoint
 //    journal). A crash can tear at most the record being appended; the
 //    journal layer detects and truncates that tail on resume via
-//    truncate_to().
+//    truncate_to(). The handle holds an exclusive flock(2) on the file for
+//    its whole life, so a log has at most one writer at a time.
 //
-// All failures surface as ppg::Error (kIoError) with the path attached.
+// All failures surface as ppg::Error (kIoError; kJournalLocked for a held
+// lock) with the path attached.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +30,10 @@ namespace ppg {
 /// (kIoError) on any failure; the destination is never left torn.
 void atomic_write_file(const std::string& path, std::string_view contents);
 
-/// Append-only file handle with durable appends. Move-only; the
-/// destructor closes the descriptor. Not internally synchronized —
-/// callers that append from several threads must serialize (SweepJournal
-/// holds a mutex around it).
+/// Append-only file handle with durable appends and an exclusive lock.
+/// Move-only; the destructor closes the descriptor, which drops the lock.
+/// Not internally synchronized — callers that append from several threads
+/// must serialize (SweepJournal holds a mutex around it).
 class DurableAppendFile {
  public:
   DurableAppendFile() = default;
@@ -41,8 +43,14 @@ class DurableAppendFile {
   DurableAppendFile(const DurableAppendFile&) = delete;
   DurableAppendFile& operator=(const DurableAppendFile&) = delete;
 
-  /// Opens `path` for appending, creating it if needed; `truncate` starts
-  /// the file over from zero bytes. Throws PpgException (kIoError).
+  /// Opens `path` for reading and appending, creating it if needed, and
+  /// takes flock(LOCK_EX | LOCK_NB) on the new open file description
+  /// before anything reads or changes the file. While this handle is open,
+  /// every other open() of the path — from another process or from this
+  /// one — throws PpgException (kJournalLocked). The kernel drops the lock
+  /// when the descriptor closes, including when the holder is killed.
+  /// `truncate` then starts the file over from zero bytes (under the
+  /// lock). Throws PpgException (kIoError, kJournalLocked).
   static DurableAppendFile open(const std::string& path, bool truncate);
 
   bool is_open() const { return fd_ >= 0; }
@@ -51,6 +59,10 @@ class DurableAppendFile {
   /// Writes `bytes` at the end of the file and flushes them to disk
   /// before returning. Throws PpgException (kIoError).
   void append(std::string_view bytes);
+
+  /// The file's whole contents, read through the locked descriptor.
+  /// Throws PpgException (kIoError).
+  std::string read_all() const;
 
   /// Shrinks the file to `size` bytes (drops a torn tail found during
   /// journal recovery). Throws PpgException (kIoError).

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <string>
 
-std::string kill_after() {
-  const char* raw = std::getenv("PPG_SWEEP_KILL_AFTER");
+std::string cache_size() {
+  const char* raw = std::getenv("PPG_CACHE_SIZE");
   return raw != nullptr ? raw : "";
 }

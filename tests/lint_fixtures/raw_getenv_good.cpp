@@ -1,13 +1,11 @@
-// Clean: environment hooks go through util/env.hpp, which parses and
-// validates the value (and is itself the designated raw-getenv exception).
+// Clean: the value arrives as a parsed flag or config field, never from
+// the ambient environment.
 #include <cstdint>
-#include <optional>
 
-namespace ppg {
-std::optional<std::uint64_t> env_u64(const char* name);
-}
+struct CacheConfig {
+  std::uint64_t cache_size = 64;
+};
 
-std::int64_t kill_after() {
-  const auto hook = ppg::env_u64("PPG_SWEEP_KILL_AFTER");
-  return hook ? static_cast<std::int64_t>(*hook) : -1;
+std::uint64_t cache_size(const CacheConfig& config) {
+  return config.cache_size;
 }

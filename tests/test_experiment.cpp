@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "bench_support/experiment.hpp"
 #include "core/replay.hpp"
+#include "test_helpers.hpp"
 #include "trace/workload.hpp"
 
 namespace ppg {
@@ -63,7 +66,11 @@ TEST(RunInstance, CapturesPerCellFailuresFromInjectedFaults) {
   FaultInjectionConfig fault;
   fault.fault = FaultClass::kZeroHeight;
   config.inject_fault = fault;
-  config.replay_dump_dir = ::testing::TempDir();
+  // A directory of this test's own: the dumps inside are named after the
+  // scheduler, so a shared directory would collide under ctest -j.
+  const std::string dump_dir = test::unique_temp_path("replay_dumps");
+  std::filesystem::create_directories(dump_dir);
+  config.replay_dump_dir = dump_dir;
 
   const InstanceOutcome outcome =
       run_instance(mt, all_scheduler_kinds(), config);
@@ -91,6 +98,7 @@ TEST(RunInstance, CapturesPerCellFailuresFromInjectedFaults) {
     EXPECT_EQ(rerun.status.error.code, ErrorCode::kContractViolation)
         << so.name;
   }
+  std::filesystem::remove_all(dump_dir);
 }
 
 TEST(RunInstance, CellBudgetSurfacesAsStructuredOutcome) {
