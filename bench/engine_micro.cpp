@@ -2,10 +2,10 @@
 //
 // Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, DET-PAR's per-box decision, and the full parallel
-// engine. These keep the harness honest about simulator cost and catch
-// performance regressions — scripts/bench_perf.sh snapshots them into
-// BENCH_PERF.json.
+// the green-OPT DP, DET-PAR's per-box decision, the two passes of the OPT
+// lower bound, and the full parallel engine. These keep the harness honest
+// about simulator cost and catch performance regressions —
+// scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -15,9 +15,11 @@
 #include "core/scheduler_factory.hpp"
 #include "green/box_runner.hpp"
 #include "green/green_opt.hpp"
+#include "opt/opt_bounds.hpp"
 #include "paging/cache_sim.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
+#include "trace/trace_source.hpp"
 #include "trace/workload.hpp"
 #include "util/thread_pool.hpp"
 #include "util/lru_set.hpp"
@@ -133,6 +135,47 @@ void BM_DetParNextBox(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DetParNextBox)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// The OPT-bounds rung: one processor's trace of the deep-mat cell shape
+/// (hetero-mix, p = 16, k = 128, s = 8; processor 1, a zipf stream over
+/// 32 pages), `n` requests long. Items are requests.
+Trace opt_bounds_trace(std::size_t n) {
+  WorkloadParams params;
+  params.num_procs = 16;
+  params.cache_size = 128;
+  params.miss_cost = 8;
+  params.requests_per_proc = n;
+  params.seed = 1;
+  return materialize(
+      make_workload_source(WorkloadKind::kHeterogeneousMix, params)
+          .source(1));
+}
+
+/// Belady's dedicated-cache busy time (the max_i BusyMin term of T_LB).
+void BM_BeladyBusyMin(benchmark::State& state) {
+  const Trace trace =
+      opt_bounds_trace(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy_min_single(trace, 128, 8));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_BeladyBusyMin)->Arg(1 << 16)->Arg(1 << 20);
+
+/// The stack-distance impact bound (the sum_i I_LB / k term of T_LB).
+void BM_ImpactLbStack(benchmark::State& state) {
+  const Trace trace =
+      opt_bounds_trace(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(impact_lb_stack(trace, 8));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_ImpactLbStack)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_ParallelEngine(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));

@@ -176,7 +176,7 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 # --- Microbenchmark throughput (requests/sec) ----------------------------
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
-BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox)'
+BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox|BeladyBusyMin|ImpactLbStack)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \

@@ -14,12 +14,20 @@
 //                                 servicing R^i under ANY compartmentalized
 //                                 profile costs at least I_LB(R^i).
 //
+// The Belady term runs BeladyPolicy (paging/policies.cpp) on each trace:
+// O(n) time for the next-use table plus O(log64 n) word operations per
+// request, in 4n bytes of next-use table, an n-bit hierarchical bitset and
+// a page table O(distinct pages).
+//
 // For I_LB two interchangeable estimators are provided:
-//   * impact_lb_stack — O(n log n): a request either misses (impact >= s,
-//     one page held for s ticks) or hits inside its box, which requires the
-//     box height to exceed its stack distance d (impact >= d+1 for that
+//   * impact_lb_stack — a request either misses (impact >= s, one page
+//     held for s ticks) or hits inside its box, which requires the box
+//     height to exceed its stack distance d (impact >= d+1 for that
 //     tick). Hence I >= sum_r min(s, d_r + 1), with cold requests counting
-//     as misses. Valid for every compartmentalized box profile.
+//     as misses. Valid for every compartmentalized box profile. Only the
+//     s-1 most recently used distinct pages can cost less than s, so one
+//     pass keeps just that window: O(log s) amortized per request and
+//     O(min(s, distinct pages)) memory, whatever the trace's size.
 //   * green_opt_impact — the exact DP of green_opt.hpp (tight, but costs
 //     O(n * s * k); used when traces are small).
 #pragma once
@@ -41,8 +49,8 @@ Time busy_min_single(const Trace& trace, Height cache, Time miss_cost);
 /// Stack-distance impact lower bound (see header comment).
 Impact impact_lb_stack(const Trace& trace, Time miss_cost);
 
-/// Single-pass fold over a cursor in O(distinct pages) memory; identical
-/// to the Trace overload.
+/// Single-pass fold over a cursor in O(min(s, distinct pages)) memory;
+/// identical to the Trace overload.
 Impact impact_lb_stack(TraceCursor& cursor, Time miss_cost);
 
 struct OptBounds {
@@ -72,16 +80,22 @@ OptBounds compute_opt_bounds(const MultiTrace& traces,
 OptBounds compute_opt_bounds(const MultiTraceSource& sources,
                              const OptBoundsConfig& config);
 
-/// Per-processor stretch (slowdown): completion time divided by the
-/// processor's dedicated-cache minimum busy time (Belady at capacity k).
-/// Stretch 1 means "as fast as running alone on the whole cache"; large
-/// stretches expose starvation. Empty traces report stretch 1.
-std::vector<double> per_proc_stretch(const MultiTrace& traces,
-                                     const std::vector<Time>& completion,
-                                     Height cache_size, Time miss_cost);
+/// busy_min_single of every processor at capacity `cache_size`: the
+/// denominators of per_proc_stretch. Materializes lazy sources one at a
+/// time, like compute_opt_bounds.
+std::vector<Time> per_proc_busy_min(const MultiTraceSource& sources,
+                                    Height cache_size, Time miss_cost);
 
-/// Streamed instance; materializes per processor like compute_opt_bounds.
-std::vector<double> per_proc_stretch(const MultiTraceSource& sources,
+/// Per-processor stretch (slowdown): completion time divided by the
+/// processor's dedicated-cache minimum busy time (per_proc_busy_min).
+/// Stretch 1 means "as fast as running alone on the whole cache"; large
+/// stretches expose starvation. Empty traces report stretch 1. Compute
+/// `busy_min` once per instance and reuse it for every schedule.
+std::vector<double> per_proc_stretch(const std::vector<Time>& busy_min,
+                                     const std::vector<Time>& completion);
+
+/// Convenience: per_proc_busy_min of `traces`, then per_proc_stretch.
+std::vector<double> per_proc_stretch(const MultiTrace& traces,
                                      const std::vector<Time>& completion,
                                      Height cache_size, Time miss_cost);
 

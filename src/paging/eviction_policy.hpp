@@ -25,7 +25,8 @@ class EvictionPolicy {
   virtual ~EvictionPolicy() = default;
 
   /// Called once before simulation with the full trace. Online policies
-  /// ignore it; Belady precomputes next-use times.
+  /// ignore it; Belady precomputes next-use times and keeps a pointer to
+  /// the trace, which must outlive the simulation.
   virtual void prepare(const Trace& trace) { (void)trace; }
 
   /// Called before each request with its index in the trace.

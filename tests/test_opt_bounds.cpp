@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "opt/opt_bounds.hpp"
 #include "test_helpers.hpp"
 #include "trace/generators.hpp"
+#include "trace/stack_distance.hpp"
+#include "trace/trace_source.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 
 namespace ppg {
 namespace {
@@ -39,6 +46,39 @@ TEST(ImpactLbStack, CapsAtMissCost) {
   // option).
   const Trace t = gen::cyclic(100, 300);
   EXPECT_EQ(impact_lb_stack(t, 5), 300u * 5);
+}
+
+Impact naive_impact_lb(const Trace& trace, Time s) {
+  Impact total = 0;
+  for (const std::uint64_t d : stack_distances_naive(trace))
+    total += d == kInfiniteDistance ? s : std::min<Impact>(s, d + 1);
+  return total;
+}
+
+TEST(ImpactLbStack, MatchesNaiveStackDistances) {
+  // Each (source, s) pair checks both overloads against sum min(s, d + 1)
+  // over the reference stack distances; the cyclic sources sit on either
+  // side of the window depth s - 1 and the large ones overflow it.
+  for (const Time s : {1u, 2u, 3u, 8u, 64u, 4096u}) {
+    Rng rng(s);
+    std::vector<std::shared_ptr<const TraceSource>> sources = {
+        gen::zipf_source(40, 3000, 0.9, rng),
+        gen::zipf_source(6000, 12000, 0.6, rng),
+        gen::single_use_source(5000),
+        gen::cyclic_source(3, 200),
+    };
+    for (const Time m : {s - 1, s, s + 1})
+      if (m >= 1) sources.push_back(gen::cyclic_source(m, 3 * m + 17));
+    for (const auto& source : sources) {
+      const Trace t = materialize(*source);
+      const Impact expect = naive_impact_lb(t, s);
+      EXPECT_EQ(impact_lb_stack(t, s), expect)
+          << "s=" << s << " n=" << t.size();
+      const auto cursor = source->cursor();
+      EXPECT_EQ(impact_lb_stack(*cursor, s), expect)
+          << "cursor, s=" << s << " n=" << t.size();
+    }
+  }
 }
 
 TEST(OptBounds, LowerBoundIsMaxOfTerms) {

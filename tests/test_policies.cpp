@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
+#include "green/policy_box_runner.hpp"
 #include "paging/cache_sim.hpp"
 #include "paging/eviction_policy.hpp"
 #include "test_helpers.hpp"
@@ -141,6 +144,201 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyConservation,
                                            PolicyKind::kRandom,
                                            PolicyKind::kLfu,
                                            PolicyKind::kBelady));
+
+// Reference Belady: an explicit resident list, and on a fault the resident
+// page whose next use (scanned forward from the current request) is
+// farthest, never-used-again counting as infinitely far. O(n * k) per
+// fault; used only to check BeladyPolicy.
+class NaiveBelady {
+ public:
+  explicit NaiveBelady(const Trace& trace) : trace_(trace) {}
+
+  void clear() { resident_.clear(); }
+
+  bool resident(PageId page) const {
+    return std::find(resident_.begin(), resident_.end(), page) !=
+           resident_.end();
+  }
+
+  /// Serves request `i` from a compartment of `capacity` pages; returns
+  /// true on a hit.
+  bool access(std::size_t i, Height capacity) {
+    const PageId page = trace_[i];
+    if (resident(page)) return true;
+    if (resident_.size() == capacity) {
+      std::size_t victim = 0;
+      std::size_t farthest = 0;
+      for (std::size_t r = 0; r < resident_.size(); ++r) {
+        std::size_t next = i + 1;
+        while (next < trace_.size() && trace_[next] != resident_[r]) ++next;
+        if (next >= farthest) {
+          farthest = next;
+          victim = r;
+        }
+      }
+      resident_.erase(resident_.begin() +
+                      static_cast<std::ptrdiff_t>(victim));
+    }
+    resident_.push_back(page);
+    return false;
+  }
+
+ private:
+  const Trace& trace_;
+  std::vector<PageId> resident_;
+};
+
+std::uint64_t naive_belady_misses(const Trace& trace, Height capacity) {
+  NaiveBelady naive(trace);
+  std::uint64_t misses = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    if (!naive.access(i, capacity)) ++misses;
+  return misses;
+}
+
+/// Seeded random trace over `pages` pages (2..12 in the tests below):
+/// long enough that every page repeats and, near the end, several resident
+/// pages are never used again.
+Trace random_small_trace(std::uint64_t pages, Rng& rng) {
+  return gen::uniform_random(pages, 40 + rng.next_below(200), rng);
+}
+
+TEST(BeladyReference, CacheSimMatchesNaiveModel) {
+  Rng rng(2024);
+  for (int round = 0; round < 300; ++round) {
+    const std::uint64_t pages = 2 + rng.next_below(11);
+    const auto capacity = static_cast<Height>(1 + rng.next_below(9));
+    const Trace t = random_small_trace(pages, rng);
+    const std::uint64_t naive_misses = naive_belady_misses(t, capacity);
+    const CacheSimResult r = simulate_policy(PolicyKind::kBelady, t,
+                                             capacity, /*miss_cost=*/3);
+    ASSERT_EQ(r.misses, naive_misses)
+        << "round " << round << " pages " << pages << " capacity "
+        << capacity;
+    ASSERT_EQ(r.hits + r.misses, t.size());
+  }
+}
+
+// Drives the policy directly, the way CacheSim does, and checks contains()
+// against a shadow resident set built from the policy's own victims.
+TEST(BeladyReference, ContainsTracksEveryInsertAndVictim) {
+  Rng rng(77);
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t pages = 2 + rng.next_below(11);
+    const auto capacity = static_cast<Height>(1 + rng.next_below(9));
+    const Trace t = random_small_trace(pages, rng);
+    auto policy = make_policy(PolicyKind::kBelady, capacity);
+    policy->prepare(t);
+    std::vector<PageId> shadow;
+    std::uint64_t misses = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      policy->advance(i);
+      const bool shadow_hit =
+          std::find(shadow.begin(), shadow.end(), t[i]) != shadow.end();
+      ASSERT_EQ(policy->touch_if_resident(t[i]), shadow_hit) << "at " << i;
+      if (shadow_hit) continue;
+      ++misses;
+      if (shadow.size() == capacity) {
+        const PageId victim = policy->evict();
+        const auto it = std::find(shadow.begin(), shadow.end(), victim);
+        ASSERT_NE(it, shadow.end()) << "evicted a non-resident page";
+        shadow.erase(it);
+        ASSERT_FALSE(policy->contains(victim)) << "victim still resident";
+      }
+      policy->insert(t[i]);
+      shadow.push_back(t[i]);
+      for (const PageId page : shadow) ASSERT_TRUE(policy->contains(page));
+      for (PageId page = 0; page < pages; ++page) {
+        const bool in_shadow =
+            std::find(shadow.begin(), shadow.end(), page) != shadow.end();
+        ASSERT_EQ(policy->contains(page), in_shadow);
+      }
+    }
+    ASSERT_EQ(misses, naive_belady_misses(t, capacity)) << "round " << round;
+    policy->clear();
+    for (PageId page = 0; page < pages; ++page)
+      ASSERT_FALSE(policy->contains(page));
+  }
+}
+
+TEST(BeladyReference, NeverUsedAgainPagesAreEvictedFirst) {
+  // Pages 3, 4 and 5 are never requested again: each fault after the
+  // cache fills must evict one of them, never 1 or 2.
+  const Trace t = test::make_trace({1, 2, 3, 4, 5, 6, 1, 2, 1, 2});
+  const CacheSimResult r = simulate_policy(PolicyKind::kBelady, t, 3, 2);
+  EXPECT_EQ(r.misses, 6u);
+  EXPECT_EQ(r.hits, 4u);
+
+  // Several never-again pages resident at once, then finite next uses.
+  const Trace u = test::make_trace({7, 8, 9, 1, 2, 1, 3, 2, 3, 1, 2, 3});
+  for (Height capacity = 1; capacity <= 5; ++capacity) {
+    EXPECT_EQ(simulate_policy(PolicyKind::kBelady, u, capacity, 2).misses,
+              naive_belady_misses(u, capacity))
+        << "capacity " << capacity;
+  }
+}
+
+// PolicyBoxRunner keeps one Belady across boxes: fresh compartments
+// clear() it, a height change resets it, and a miss that does not fit
+// stalls and is retried at the same index by the next box.
+TEST(BeladyReference, PolicyBoxRunnerMatchesNaiveBoxModel) {
+  Rng rng(5);
+  const Time s = 3;
+  std::uint64_t retried_in_place = 0;
+  std::uint64_t cleared_after_stall = 0;
+  for (int round = 0; round < 150; ++round) {
+    const std::uint64_t pages = 2 + rng.next_below(11);
+    const Trace t = random_small_trace(pages, rng);
+    PolicyBoxRunner runner(t, s, PolicyKind::kBelady);
+    NaiveBelady naive(t);
+    std::size_t pos = 0;
+    Height capacity = 0;
+    bool stalled = false;
+    while (!runner.finished()) {
+      const auto height = capacity != 0 && rng.next_bool(0.5)
+                              ? capacity
+                              : static_cast<Height>(1 + rng.next_below(9));
+      const Time duration = 1 + rng.next_below(4 * s);
+      const bool fresh = rng.next_bool(0.3);
+      if (fresh || height != capacity) {
+        naive.clear();
+        if (stalled) ++cleared_after_stall;
+      } else if (stalled) {
+        ++retried_in_place;
+      }
+      capacity = height;
+      BoxStepResult expect;
+      Time remaining = duration;
+      while (remaining > 0 && pos < t.size()) {
+        if (naive.resident(t[pos])) {
+          naive.access(pos, height);
+          remaining -= 1;
+          ++expect.hits;
+        } else {
+          if (s > remaining) break;
+          naive.access(pos, height);
+          remaining -= s;
+          ++expect.misses;
+        }
+        ++pos;
+        ++expect.requests_completed;
+      }
+      expect.stall_time = remaining;
+      stalled = remaining > 0 && pos < t.size();
+
+      const BoxStepResult got = runner.run_box(height, duration, fresh);
+      ASSERT_EQ(got.requests_completed, expect.requests_completed)
+          << "round " << round;
+      ASSERT_EQ(got.hits, expect.hits) << "round " << round;
+      ASSERT_EQ(got.misses, expect.misses) << "round " << round;
+      ASSERT_EQ(got.stall_time, expect.stall_time) << "round " << round;
+      ASSERT_EQ(runner.position(), pos);
+    }
+  }
+  // Both ways a stalled request is retried must have happened.
+  EXPECT_GT(retried_in_place, 0u);
+  EXPECT_GT(cleared_after_stall, 0u);
+}
 
 }  // namespace
 }  // namespace ppg
