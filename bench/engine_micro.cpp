@@ -3,14 +3,16 @@
 // Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
 // the green-OPT DP, DET-PAR's per-box decision, the two passes of the OPT
-// lower bound, and the full parallel engine. These keep the harness honest
-// about simulator cost and catch performance regressions —
+// lower bound, the GLOBAL-LRU baseline, and the full parallel engine.
+// These keep the harness honest about simulator cost and catch
+// performance regressions —
 // scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/det_par.hpp"
+#include "core/global_lru.hpp"
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
 #include "green/box_runner.hpp"
@@ -176,6 +178,33 @@ void BM_ImpactLbStack(benchmark::State& state) {
       static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_ImpactLbStack)->Arg(1 << 16)->Arg(1 << 20);
+
+/// The GLOBAL-LRU baseline of every sweep cell: p streamed hetero-mix
+/// processors (k = 8p, s = 8, 2000 requests each) sharing one LRU pool.
+/// Items are requests, so p = 16 vs p = 1024 shows how the per-request
+/// cost (one LRU probe, span-fed cursors, the ready queue) scales with p;
+/// scripts/bench_perf.sh gates that ratio. MinTime(0.5) holds under the
+/// --quick gate too: a p = 1024 iteration takes ~0.1 s, so a 0.05 s run
+/// would time a single iteration.
+void BM_GlobalLru(benchmark::State& state) {
+  const auto p = static_cast<ProcId>(state.range(0));
+  WorkloadParams wp;
+  wp.num_procs = p;
+  wp.cache_size = 8 * p;
+  wp.requests_per_proc = 2000;
+  const MultiTraceSource sources =
+      make_workload_source(WorkloadKind::kHeterogeneousMix, wp);
+  GlobalLruConfig config;
+  config.cache_size = wp.cache_size;
+  config.miss_cost = 8;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_global_lru(sources, config).makespan);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(sources.total_requests()));
+}
+BENCHMARK(BM_GlobalLru)->Arg(16)->Arg(1024)->MinTime(0.5);
 
 void BM_ParallelEngine(benchmark::State& state) {
   const auto p = static_cast<ProcId>(state.range(0));

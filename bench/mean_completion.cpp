@@ -89,11 +89,11 @@ int run_bench(int argc, char** argv) {
             workload_trace_spec(WorkloadKind::kSkewedLengths, wp);
         config.engine_threads = cli.engine_threads;
         cell.outcome = run_instance(sources, all_scheduler_kinds(), config);
-        const std::vector<Time> busy_min =
-            per_proc_busy_min(sources, cell.k, s);
+        // The bounds pass already ran Belady on every processor at k; its
+        // busy minima are only in this in-cell outcome (not journaled).
         for (const SchedulerOutcome& so : cell.outcome.outcomes) {
-          const std::vector<double> stretch =
-              per_proc_stretch(busy_min, so.result.completion);
+          const std::vector<double> stretch = per_proc_stretch(
+              cell.outcome.bounds.busy_min, so.result.completion);
           double max_stretch = 0.0;
           for (double v : stretch) max_stretch = std::max(max_stretch, v);
           cell.max_stretch.push_back(max_stretch);

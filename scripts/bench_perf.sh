@@ -6,8 +6,11 @@
 # BENCH_PERF.json, verifying on the way that the parallel sweep output is
 # byte-identical to the serial one.
 #
-# DET-PAR's per-box cost must stay O(log p): the script fails when
-# BM_DetParNextBox's ns/box at p=4096 exceeds 4x its ns/box at p=64.
+# Two per-item costs must not grow with p: the script fails when
+# BM_DetParNextBox's ns/box at p=4096 exceeds 4x its ns/box at p=64
+# (DET-PAR's next_box is O(log p)), or when BM_GlobalLru's ns/request at
+# p=1024 exceeds 1.6x its ns/request at p=16 (GLOBAL-LRU is O(1) per
+# request). Both are ratios within one run, so host drift cancels.
 #
 # After writing the snapshot, compares per-benchmark requests/sec against
 # the committed BENCH_PERF.json and FAILS on any drop beyond the threshold
@@ -22,7 +25,7 @@
 #   --selftest  Run the gate logic against synthetic snapshots (an injected
 #               slowdown must fail, a flat profile must pass, and
 #               PPG_PERF_GATE=warn must downgrade the failure) and the
-#               p-scaling check against synthetic timings; no benchmarks
+#               p-scaling checks against synthetic timings; no benchmarks
 #               are built or run.
 #
 # Environment:
@@ -80,27 +83,44 @@ sys.exit(1 if dropped else 0)
 PY
 }
 
-# det_par_scaling_check MICRO_JSON
-# DET-PAR's next_box costs O(log p): from p=64 to p=4096 its strips grow
-# only from 6 to 12, so ns/box may at most quadruple, while any O(p) cost
-# would grow 64x. Returns nonzero on a breach.
-det_par_scaling_check() {
-  MICRO_JSON="$1" python3 - <<'PY'
+# scaling_check MICRO_JSON SMALL LARGE LIMIT WHAT
+# Fails when the per-item time of benchmark LARGE exceeds LIMIT times that
+# of benchmark SMALL (the same bench at a small and a large p). Returns
+# nonzero on a breach or when either benchmark is missing.
+scaling_check() {
+  MICRO_JSON="$1" SMALL="$2" LARGE="$3" LIMIT="$4" WHAT="$5" python3 - <<'PY'
 import json, os, sys
 
 with open(os.environ["MICRO_JSON"]) as f:
     rate = {b["name"]: b["items_per_second"]
             for b in json.load(f)["benchmarks"] if "items_per_second" in b}
-small, large = "BM_DetParNextBox/64", "BM_DetParNextBox/4096"
+small, large = os.environ["SMALL"], os.environ["LARGE"]
+limit = float(os.environ["LIMIT"])
 if small not in rate or large not in rate:
-    print("FAIL: BM_DetParNextBox/{64,4096} missing from the run")
+    print(f"FAIL: {small} or {large} missing from the run")
     sys.exit(1)
-ratio = rate[small] / rate[large]  # = ns/box(4096) / ns/box(64)
-verdict = "OK" if ratio <= 4.0 else "FAIL"
-print(f"{verdict}: DET-PAR ns/box p=4096 over p=64 is {ratio:.2f}x "
-      "(limit 4x)")
-sys.exit(0 if ratio <= 4.0 else 1)
+ratio = rate[small] / rate[large]  # = ns/item(large) / ns/item(small)
+verdict = "OK" if ratio <= limit else "FAIL"
+print(f"{verdict}: {os.environ['WHAT']} is {ratio:.2f}x (limit {limit:g}x)")
+sys.exit(0 if ratio <= limit else 1)
 PY
+}
+
+# DET-PAR's next_box costs O(log p): from p=64 to p=4096 its strips grow
+# only from 6 to 12, so ns/box may at most quadruple, while any O(p) cost
+# would grow 64x.
+det_par_scaling_check() {
+  scaling_check "$1" BM_DetParNextBox/64 BM_DetParNextBox/4096 4 \
+    "DET-PAR ns/box p=4096 over p=64"
+}
+
+# GLOBAL-LRU costs one LRU probe and O(1) ready-queue work per request.
+# Measured on a 4-core host, p=1024 over p=16 read 0.83-1.44x; the earlier
+# binary-heap ready queue read 1.90-2.18x (its log p pops and pushes).
+global_lru_scaling_check() {
+  scaling_check "$1" BM_GlobalLru/16/min_time:0.500 \
+    BM_GlobalLru/1024/min_time:0.500 1.6 \
+    "GLOBAL-LRU ns/request p=1024 over p=16"
 }
 
 # --- Self-test: prove the gate can fail ----------------------------------
@@ -158,8 +178,25 @@ JSON
     echo "FAIL: p-scaling check passed linear growth in p" >&2
     exit 1
   fi
+  # GLOBAL-LRU: flat per-request cost passes, the heap's log-p growth fails.
+  cat >"${ST_DIR}/lru_flat.json" <<'JSON'
+{"benchmarks": [{"name": "BM_GlobalLru/16/min_time:0.500", "items_per_second": 2e7},
+                {"name": "BM_GlobalLru/1024/min_time:0.500", "items_per_second": 1.6e7}]}
+JSON
+  cat >"${ST_DIR}/lru_logp.json" <<'JSON'
+{"benchmarks": [{"name": "BM_GlobalLru/16/min_time:0.500", "items_per_second": 1.2e7},
+                {"name": "BM_GlobalLru/1024/min_time:0.500", "items_per_second": 6e6}]}
+JSON
+  if ! global_lru_scaling_check "${ST_DIR}/lru_flat.json" >/dev/null; then
+    echo "FAIL: GLOBAL-LRU scaling check flagged a flat per-request cost" >&2
+    exit 1
+  fi
+  if global_lru_scaling_check "${ST_DIR}/lru_logp.json" >/dev/null; then
+    echo "FAIL: GLOBAL-LRU scaling check passed a 2x growth in p" >&2
+    exit 1
+  fi
   echo "perf gate self-test OK (drop detected, flat pass, threshold env," \
-       "p-scaling check)"
+       "p-scaling checks)"
   exit 0
 fi
 
@@ -176,12 +213,13 @@ trap 'rm -f "${MICRO_JSON}" "${SERVICE_JSON}" "${SWEEP_J1}" "${SWEEP_JMAX}"' EXI
 # --- Microbenchmark throughput (requests/sec) ----------------------------
 MIN_TIME=0.5
 [[ "${QUICK}" == "1" ]] && MIN_TIME=0.05
-BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox|BeladyBusyMin|ImpactLbStack)'
+BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistances|ParallelEngine|DetParNextBox|BeladyBusyMin|ImpactLbStack|GlobalLru)'
 ./build/bench/engine_micro \
   --benchmark_filter="${BENCH_FILTER}" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_format=json >"${MICRO_JSON}"
 det_par_scaling_check "${MICRO_JSON}"
+global_lru_scaling_check "${MICRO_JSON}"
 
 # Service layer end to end (items = requests served, comparable with
 # BM_ParallelEngine*); lands in both requests_per_sec (gated like every
@@ -267,11 +305,14 @@ t0, t1, t2 = (float(os.environ[k]) for k in ("T0", "T1", "T2"))
 serial_s = t1 - t0
 parallel_s = t2 - t1
 
-def ns_per_box(name):
+def ns_per_item(name):
     return round(1e9 / bench[name], 1) if bench.get(name) else None
 
 det_par = {
-    str(p): ns_per_box(f"BM_DetParNextBox/{p}") for p in (64, 256, 1024, 4096)
+    str(p): ns_per_item(f"BM_DetParNextBox/{p}") for p in (64, 256, 1024, 4096)
+}
+global_lru = {
+    str(p): ns_per_item(f"BM_GlobalLru/{p}/min_time:0.500") for p in (16, 1024)
 }
 
 out = {
@@ -294,6 +335,14 @@ out = {
         "ns_per_box": det_par,
         "ratio_4096_over_64": round(det_par["4096"] / det_par["64"], 3)
             if det_par["64"] and det_par["4096"] else None,
+    },
+    # GLOBAL-LRU cost per request vs p (bench BM_GlobalLru, items =
+    # requests); the script fails when the p=1024 figure exceeds 1.6x the
+    # p=16 one.
+    "global_lru": {
+        "ns_per_request": global_lru,
+        "ratio_1024_over_16": round(global_lru["1024"] / global_lru["16"], 3)
+            if global_lru["16"] and global_lru["1024"] else None,
     },
     # PagingService end to end (bench/service_throughput): batch cohort,
     # trickled arrivals, adversarial bursts. The same numbers also sit in

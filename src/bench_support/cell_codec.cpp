@@ -110,6 +110,9 @@ ParallelRunResult decode_run_result(CellReader& r) {
   return res;
 }
 
+// OptBounds::busy_min is not encoded: it is O(p), and the one bench that
+// reads it (mean_completion) derives its stretch column inside the cell,
+// before encoding. A decoded OptBounds has it empty.
 void encode_opt_bounds(CellWriter& w, const OptBounds& b) {
   w.u64(b.lb_max_length);
   w.u64(b.lb_max_single);

@@ -198,17 +198,6 @@ const Trace& materialized_view(const TraceSource& source, Trace& storage) {
 
 }  // namespace
 
-std::vector<Time> per_proc_busy_min(const MultiTraceSource& sources,
-                                    Height cache_size, Time miss_cost) {
-  std::vector<Time> busy(sources.num_procs(), 0);
-  for (ProcId i = 0; i < sources.num_procs(); ++i) {
-    Trace storage;
-    busy[i] = busy_min_single(materialized_view(sources.source(i), storage),
-                              cache_size, miss_cost);
-  }
-  return busy;
-}
-
 std::vector<double> per_proc_stretch(const std::vector<Time>& busy_min,
                                      const std::vector<Time>& completion) {
   PPG_CHECK(completion.size() == busy_min.size());
@@ -224,16 +213,18 @@ std::vector<double> per_proc_stretch(const std::vector<Time>& busy_min,
 std::vector<double> per_proc_stretch(const MultiTrace& traces,
                                      const std::vector<Time>& completion,
                                      Height cache_size, Time miss_cost) {
-  return per_proc_stretch(
-      per_proc_busy_min(MultiTraceSource::view_of(traces), cache_size,
-                        miss_cost),
-      completion);
+  OptBoundsConfig config;
+  config.cache_size = cache_size;
+  config.miss_cost = miss_cost;
+  return per_proc_stretch(compute_opt_bounds(traces, config).busy_min,
+                          completion);
 }
 
 OptBounds compute_opt_bounds(const MultiTraceSource& sources,
                              const OptBoundsConfig& config) {
   PPG_CHECK(config.cache_size >= 1);
   OptBounds bounds;
+  bounds.busy_min.reserve(sources.num_procs());
   Impact impact_sum = 0;
   const Height h_max = std::max<Height>(
       1, static_cast<Height>(pow2_floor(config.cache_size)));
@@ -244,9 +235,10 @@ OptBounds compute_opt_bounds(const MultiTraceSource& sources,
     const Trace& t = materialized_view(sources.source(i), storage);
     bounds.lb_max_length =
         std::max<Time>(bounds.lb_max_length, t.size());
+    bounds.busy_min.push_back(
+        busy_min_single(t, config.cache_size, config.miss_cost));
     bounds.lb_max_single =
-        std::max(bounds.lb_max_single,
-                 busy_min_single(t, config.cache_size, config.miss_cost));
+        std::max(bounds.lb_max_single, bounds.busy_min.back());
     if (t.size() <= config.exact_impact_max_requests)
       impact_sum += green_opt_impact(t, full_ladder, config.miss_cost);
     else

@@ -57,6 +57,11 @@ struct OptBounds {
   Time lb_max_length = 0;
   Time lb_max_single = 0;
   Time lb_impact = 0;
+  /// busy_min_single of every processor at capacity k (lb_max_single is
+  /// its max): the denominators of per_proc_stretch. Cells journaled by
+  /// the cell codec do not carry it (a decoded OptBounds has it empty), so
+  /// a bench derives its per-processor columns inside the cell.
+  std::vector<Time> busy_min;
 
   Time lower_bound() const;
 };
@@ -80,21 +85,16 @@ OptBounds compute_opt_bounds(const MultiTrace& traces,
 OptBounds compute_opt_bounds(const MultiTraceSource& sources,
                              const OptBoundsConfig& config);
 
-/// busy_min_single of every processor at capacity `cache_size`: the
-/// denominators of per_proc_stretch. Materializes lazy sources one at a
-/// time, like compute_opt_bounds.
-std::vector<Time> per_proc_busy_min(const MultiTraceSource& sources,
-                                    Height cache_size, Time miss_cost);
-
 /// Per-processor stretch (slowdown): completion time divided by the
-/// processor's dedicated-cache minimum busy time (per_proc_busy_min).
+/// processor's dedicated-cache minimum busy time (OptBounds::busy_min).
 /// Stretch 1 means "as fast as running alone on the whole cache"; large
 /// stretches expose starvation. Empty traces report stretch 1. Compute
-/// `busy_min` once per instance and reuse it for every schedule.
+/// `busy_min` once per instance (compute_opt_bounds does) and reuse it for
+/// every schedule.
 std::vector<double> per_proc_stretch(const std::vector<Time>& busy_min,
                                      const std::vector<Time>& completion);
 
-/// Convenience: per_proc_busy_min of `traces`, then per_proc_stretch.
+/// Convenience: compute_opt_bounds(traces).busy_min, then per_proc_stretch.
 std::vector<double> per_proc_stretch(const MultiTrace& traces,
                                      const std::vector<Time>& completion,
                                      Height cache_size, Time miss_cost);

@@ -145,9 +145,7 @@ MultiTraceSource make_source_from_trace_spec(const std::string& spec) {
         static_cast<std::size_t>(get_u64(kv, "n", spec));
     params.seed = get_u64(kv, "seed", spec);
     params.miss_cost = get_u64(kv, "s", spec);
-    if (params.num_procs < 1 || params.cache_size < params.num_procs)
-      bad_spec(spec, "requires 1 <= p <= k");
-    return make_workload_source(*kind, params);
+    return make_workload_source(*kind, params);  // kBadInput unless p <= k
   }
   if (name == "adversarial") {
     AdversarialParams params;

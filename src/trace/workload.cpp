@@ -1,9 +1,11 @@
 #include "trace/workload.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "trace/generators.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/math_util.hpp"
 
 namespace ppg {
@@ -113,8 +115,14 @@ std::shared_ptr<const TraceSource> make_one_source(WorkloadKind kind,
 
 MultiTraceSource make_workload_source(WorkloadKind kind,
                                       const WorkloadParams& params) {
-  PPG_CHECK(params.num_procs >= 1);
-  PPG_CHECK(params.cache_size >= params.num_procs);
+  // Outside the model (the paper assumes k >= p): a structured input
+  // error, so a CLI reports it instead of aborting.
+  if (params.num_procs < 1 || params.cache_size < params.num_procs) {
+    throw_error(ErrorCode::kBadInput,
+                "workload requires 1 <= p <= k (p=" +
+                    std::to_string(params.num_procs) +
+                    ", k=" + std::to_string(params.cache_size) + ")");
+  }
   Rng root(params.seed);
   MultiTraceSource sources;
   for (ProcId proc = 0; proc < params.num_procs; ++proc) {

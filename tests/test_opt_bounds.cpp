@@ -105,6 +105,28 @@ TEST(OptBounds, ComputedOnWorkload) {
   EXPECT_GT(b.lb_impact, 0u);
 }
 
+TEST(OptBounds, KeepsEveryProcessorsBusyMinimum) {
+  // busy_min[i] is processor i's dedicated-cache Belady time at k, and
+  // lb_max_single its max; a processor with no requests reads 0.
+  WorkloadParams params;
+  params.num_procs = 5;
+  params.cache_size = 16;
+  params.requests_per_proc = 700;
+  params.seed = 4;
+  MultiTrace mt = make_workload(WorkloadKind::kSkewedLengths, params);
+  mt.add(Trace{});
+  OptBoundsConfig config;
+  config.cache_size = 16;
+  config.miss_cost = 6;
+  const OptBounds b = compute_opt_bounds(mt, config);
+  ASSERT_EQ(b.busy_min.size(), mt.num_procs());
+  for (ProcId i = 0; i < mt.num_procs(); ++i)
+    EXPECT_EQ(b.busy_min[i], busy_min_single(mt.trace(i), 16, 6)) << i;
+  EXPECT_EQ(b.busy_min.back(), 0u);
+  EXPECT_EQ(b.lb_max_single,
+            *std::max_element(b.busy_min.begin(), b.busy_min.end()));
+}
+
 TEST(OptBounds, ExactImpactAtLeastStackEstimate) {
   // The DP impact bound dominates the stack-distance estimate (both are
   // valid lower bounds; the DP is tight).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "trace/trace_spec.hpp"
 #include "trace/workload.hpp"
+#include "util/error.hpp"
 
 namespace ppg {
 namespace {
@@ -50,6 +52,41 @@ TEST(Workload, UniformLengthsOtherwise) {
       make_workload(WorkloadKind::kHomogeneousCyclic, small());
   for (ProcId i = 0; i < mt.num_procs(); ++i)
     EXPECT_EQ(mt.trace(i).size(), 1000u);
+}
+
+TEST(Workload, OffModelParamsAreBadInput) {
+  // The paper's model needs 1 <= p <= k; outside it the builders throw a
+  // structured kBadInput (a CLI prints it and exits 1) instead of aborting.
+  WorkloadParams too_few_pages = small();
+  too_few_pages.num_procs = 128;
+  too_few_pages.cache_size = 64;
+  WorkloadParams no_procs = small();
+  no_procs.num_procs = 0;
+  for (const WorkloadParams& params : {too_few_pages, no_procs}) {
+    for (const WorkloadKind kind : all_workload_kinds()) {
+      try {
+        make_workload_source(kind, params);
+        FAIL() << "accepted p=" << params.num_procs
+               << " k=" << params.cache_size;
+      } catch (const PpgException& e) {
+        EXPECT_EQ(e.error().code, ErrorCode::kBadInput);
+      }
+      EXPECT_THROW(make_workload(kind, params), PpgException);
+    }
+  }
+  // The trace-spec registry builds through the same function.
+  try {
+    make_source_from_trace_spec(
+        "workload(kind=zipf,p=8,k=4,n=100,seed=1,s=4)");
+    FAIL() << "the spec path accepted p > k";
+  } catch (const PpgException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kBadInput);
+  }
+  // The boundary p == k stays in the model.
+  WorkloadParams tight = small();
+  tight.cache_size = tight.num_procs;
+  EXPECT_EQ(make_workload_source(WorkloadKind::kZipf, tight).num_procs(),
+            tight.num_procs);
 }
 
 TEST(Workload, KindNamesAreUnique) {
