@@ -2,13 +2,14 @@
 //
 // Throughput of the structures every experiment leans on: the LRU set, the
 // box runner, the sequential cache simulator, the stack-distance profiler,
-// the green-OPT DP, DET-PAR's per-box decision, the two passes of the OPT
-// lower bound, the GLOBAL-LRU baseline, and the full parallel engine.
+// the green-OPT DP, DET-PAR's per-box decision, the OPT lower bounds'
+// single pass, the GLOBAL-LRU baseline, and the full parallel engine.
 // These keep the harness honest about simulator cost and catch
 // performance regressions —
 // scripts/bench_perf.sh snapshots them into BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/det_par.hpp"
@@ -153,7 +154,9 @@ Trace opt_bounds_trace(std::size_t n) {
           .source(1));
 }
 
-/// Belady's dedicated-cache busy time (the max_i BusyMin term of T_LB).
+/// The BusyMin term of T_LB through the bounds pass (busy_min_single runs
+/// the whole pass). The trace's 32 pages fit in k = 128, so Belady is
+/// settled from the distinct count; this times the pass itself.
 void BM_BeladyBusyMin(benchmark::State& state) {
   const Trace trace =
       opt_bounds_trace(static_cast<std::size_t>(state.range(0)));
@@ -166,7 +169,7 @@ void BM_BeladyBusyMin(benchmark::State& state) {
 }
 BENCHMARK(BM_BeladyBusyMin)->Arg(1 << 16)->Arg(1 << 20);
 
-/// The stack-distance impact bound (the sum_i I_LB / k term of T_LB).
+/// The I_LB term of T_LB (the sum_i I_LB / k term) through the same pass.
 void BM_ImpactLbStack(benchmark::State& state) {
   const Trace trace =
       opt_bounds_trace(static_cast<std::size_t>(state.range(0)));
@@ -178,6 +181,31 @@ void BM_ImpactLbStack(benchmark::State& state) {
       static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_ImpactLbStack)->Arg(1 << 16)->Arg(1 << 20);
+
+/// The same I_LB pass on a long-gap trace: page A, then page B 10^5
+/// times, then A again, repeated to `n` requests. Every A finds its stack
+/// distance 10^5 positions back, across empty bitset words that the
+/// summary level must skip; a scan that walked the gap would cost ~1500
+/// words per A. scripts/bench_perf.sh gates its ns/request against the
+/// hetero-mix BM_ImpactLbStack at the same n.
+void BM_ImpactLbStackLongGap(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<PageId> requests;
+  requests.reserve(n);
+  while (requests.size() < n) {
+    requests.push_back(0);
+    requests.insert(requests.end(),
+                    std::min<std::size_t>(100000, n - requests.size()), 1);
+  }
+  const Trace trace(std::move(requests));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(impact_lb_stack(trace, 8));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_ImpactLbStackLongGap)->Arg(1 << 20);
 
 /// The GLOBAL-LRU baseline of every sweep cell: p streamed hetero-mix
 /// processors (k = 8p, s = 8, 2000 requests each) sharing one LRU pool.

@@ -10,7 +10,10 @@
 # BM_DetParNextBox's ns/box at p=4096 exceeds 4x its ns/box at p=64
 # (DET-PAR's next_box is O(log p)), or when BM_GlobalLru's ns/request at
 # p=1024 exceeds 1.6x its ns/request at p=16 (GLOBAL-LRU is O(1) per
-# request). Both are ratios within one run, so host drift cancels.
+# request). One must not grow with the reuse gap: it fails when the OPT
+# bounds pass's ns/request on a long-gap trace (BM_ImpactLbStackLongGap)
+# exceeds 2x its ns/request on hetero-mix (BM_ImpactLbStack). All three
+# are ratios within one run, so host drift cancels.
 #
 # After writing the snapshot, compares per-benchmark requests/sec against
 # the committed BENCH_PERF.json and FAILS on any drop beyond the threshold
@@ -25,8 +28,8 @@
 #   --selftest  Run the gate logic against synthetic snapshots (an injected
 #               slowdown must fail, a flat profile must pass, and
 #               PPG_PERF_GATE=warn must downgrade the failure) and the
-#               p-scaling checks against synthetic timings; no benchmarks
-#               are built or run.
+#               p-scaling and long-gap checks against synthetic timings;
+#               no benchmarks are built or run.
 #
 # Environment:
 #   PPG_PERF_GATE=warn   Downgrade a gate failure to a warning (escape
@@ -123,6 +126,16 @@ global_lru_scaling_check() {
     "GLOBAL-LRU ns/request p=1024 over p=16"
 }
 
+# The OPT bounds pass counts a stack distance over the positions between a
+# request and its previous use, skipping empty words through a summary
+# level, so its cost is bounded by s, not by the gap. On a trace whose
+# reuses lie 10^5 requests apart it may at most double the hetero-mix
+# ns/request; a scan over the gap would cost ~1500 words per reuse.
+impact_gap_scaling_check() {
+  scaling_check "$1" BM_ImpactLbStack/1048576 BM_ImpactLbStackLongGap/1048576 \
+    2 "OPT bounds pass ns/request long-gap over hetero-mix"
+}
+
 # --- Self-test: prove the gate can fail ----------------------------------
 # Synthetic snapshots exercise the comparison logic without benchmark
 # noise: a 2x slowdown must fail, an identical profile must pass, and the
@@ -195,8 +208,26 @@ JSON
     echo "FAIL: GLOBAL-LRU scaling check passed a 2x growth in p" >&2
     exit 1
   fi
+  # OPT bounds pass: a long-gap cost at the hetero-mix level passes, 4x
+  # fails.
+  cat >"${ST_DIR}/gap_flat.json" <<'JSON'
+{"benchmarks": [{"name": "BM_ImpactLbStack/1048576", "items_per_second": 5e7},
+                {"name": "BM_ImpactLbStackLongGap/1048576", "items_per_second": 4e7}]}
+JSON
+  cat >"${ST_DIR}/gap_4x.json" <<'JSON'
+{"benchmarks": [{"name": "BM_ImpactLbStack/1048576", "items_per_second": 5e7},
+                {"name": "BM_ImpactLbStackLongGap/1048576", "items_per_second": 1.25e7}]}
+JSON
+  if ! impact_gap_scaling_check "${ST_DIR}/gap_flat.json" >/dev/null; then
+    echo "FAIL: long-gap check flagged a gap-independent cost" >&2
+    exit 1
+  fi
+  if impact_gap_scaling_check "${ST_DIR}/gap_4x.json" >/dev/null; then
+    echo "FAIL: long-gap check passed a 4x long-gap cost" >&2
+    exit 1
+  fi
   echo "perf gate self-test OK (drop detected, flat pass, threshold env," \
-       "p-scaling checks)"
+       "p-scaling and long-gap checks)"
   exit 0
 fi
 
@@ -220,6 +251,7 @@ BENCH_FILTER='BM_(LruSetAccess|CacheSimLru|BoxRunnerCanonicalBoxes|StackDistance
   --benchmark_format=json >"${MICRO_JSON}"
 det_par_scaling_check "${MICRO_JSON}"
 global_lru_scaling_check "${MICRO_JSON}"
+impact_gap_scaling_check "${MICRO_JSON}"
 
 # Service layer end to end (items = requests served, comparable with
 # BM_ParallelEngine*); lands in both requests_per_sec (gated like every
@@ -314,6 +346,10 @@ det_par = {
 global_lru = {
     str(p): ns_per_item(f"BM_GlobalLru/{p}/min_time:0.500") for p in (16, 1024)
 }
+opt_pass = {
+    "hetero_mix": ns_per_item("BM_ImpactLbStack/1048576"),
+    "long_gap": ns_per_item("BM_ImpactLbStackLongGap/1048576"),
+}
 
 out = {
     "schema": 2,
@@ -343,6 +379,15 @@ out = {
         "ns_per_request": global_lru,
         "ratio_1024_over_16": round(global_lru["1024"] / global_lru["16"], 3)
             if global_lru["16"] and global_lru["1024"] else None,
+    },
+    # OPT bounds pass cost per request on hetero-mix vs a long-gap trace
+    # (benches BM_ImpactLbStack, BM_ImpactLbStackLongGap at n = 2^20); the
+    # script fails when the long-gap figure exceeds 2x the hetero-mix one.
+    "opt_bounds_pass": {
+        "ns_per_request": opt_pass,
+        "ratio_long_gap_over_hetero_mix":
+            round(opt_pass["long_gap"] / opt_pass["hetero_mix"], 3)
+            if opt_pass["hetero_mix"] and opt_pass["long_gap"] else None,
     },
     # PagingService end to end (bench/service_throughput): batch cohort,
     # trickled arrivals, adversarial bursts. The same numbers also sit in

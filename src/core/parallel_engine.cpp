@@ -690,7 +690,13 @@ void ParallelEngine::maybe_write_dump(CheckedRun& out) {
   } else if (traces_ != nullptr) {
     dump.traces = *traces_;
   } else if (sources_.total_requests() <= kMaxDumpRequests) {
-    dump.traces = sources_.materialize();
+    try {
+      dump.traces = sources_.materialize();
+    } catch (const PpgException&) {
+      // A stream that cannot be drained (a stalled one is kCorruptTrace)
+      // is not embedded; the dump still records the failure.
+      dump.has_traces = false;
+    }
   } else {
     dump.has_traces = false;
   }

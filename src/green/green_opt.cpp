@@ -25,11 +25,15 @@ BoxAdvance advance_box(const Trace& trace, std::size_t pos, Height h,
   cache.clear();
   Time remaining = static_cast<Time>(h) * miss_cost;
   Time busy = 0;
+  // One probe per request: try_touch classifies and serves a hit, and a
+  // miss that fits is committed with insert_absent. A hit that no longer
+  // fits has touched the cache, which the next call clears.
   while (pos < trace.size()) {
     const PageId page = trace[pos];
-    const Time cost = cache.contains(page) ? 1 : miss_cost;
+    const bool hit = cache.try_touch(page);
+    const Time cost = hit ? 1 : miss_cost;
     if (cost > remaining) break;
-    cache.access(page);
+    if (!hit) cache.insert_absent(page);
     remaining -= cost;
     busy += cost;
     ++pos;

@@ -14,22 +14,36 @@
 //                                 servicing R^i under ANY compartmentalized
 //                                 profile costs at least I_LB(R^i).
 //
-// The Belady term runs BeladyPolicy (paging/policies.cpp) on each trace:
-// O(n) time for the next-use table plus O(log64 n) word operations per
-// request, in 4n bytes of next-use table, an n-bit hierarchical bitset and
-// a page table O(distinct pages).
+// All three come from one forward pass per processor that reads its
+// source once through cursor()->next_span, lazy sources included, without
+// materializing it (except for the exact DP below). Each request costs one probe into a flat
+// page -> last-position table (paging/belady.hpp's NextUseBuilder), which
+// yields the request's previous use, the 32-bit next-use array Belady
+// needs, and the distinct-page count:
 //
-// For I_LB two interchangeable estimators are provided:
-//   * impact_lb_stack — a request either misses (impact >= s, one page
-//     held for s ticks) or hits inside its box, which requires the box
-//     height to exceed its stack distance d (impact >= d+1 for that
+//   * I_LB (impact_lb_stack) — a request either misses (impact >= s, one
+//     page held for s ticks) or hits inside its box, which requires the
+//     box height to exceed its stack distance d (impact >= d+1 for that
 //     tick). Hence I >= sum_r min(s, d_r + 1), with cold requests counting
-//     as misses. Valid for every compartmentalized box profile. Only the
-//     s-1 most recently used distinct pages can cost less than s, so one
-//     pass keeps just that window: O(log s) amortized per request and
-//     O(min(s, distinct pages)) memory, whatever the trace's size.
-//   * green_opt_impact — the exact DP of green_opt.hpp (tight, but costs
-//     O(n * s * k); used when traces are small).
+//     as misses; valid for every compartmentalized box profile. d is the
+//     number of positions in (prev, i) that are still the latest use of
+//     their page: a bit count over a position bitset, counted down from i
+//     and stopped at s-1, with a 64-ary summary level skipping empty words,
+//     so a request's cost does not grow with the gap i - prev.
+//   * BusyMin — with at most k distinct pages Belady never evicts, so it
+//     faults once per page and busy_min = n + (s-1) * distinct, exactly.
+//     Otherwise Belady's faults are counted from the next-use array alone
+//     (belady_faults: a hierarchical bitset keyed by next use, O(log64 n)
+//     word operations per request, no page ids).
+//
+// Memory per processor: O(n/8 + distinct) bytes for the bitset and the
+// table, plus the 4n-byte next-use array, for one processor at a time, so
+// the peak is set by the longest trace.
+//
+// green_opt_impact — the exact DP of green_opt.hpp — replaces I_LB on
+// traces no longer than OptBoundsConfig::exact_impact_max_requests (tight,
+// but O(n * s * k) and it needs the whole trace: only then is a lazy
+// source materialized, one processor at a time).
 #pragma once
 
 #include <cstdint>
@@ -43,14 +57,14 @@
 namespace ppg {
 
 /// n + (s-1) * Belady faults at capacity `cache`: minimal busy time of the
-/// trace on a dedicated cache.
+/// trace on a dedicated cache. The BusyMin term of the bounds pass.
 Time busy_min_single(const Trace& trace, Height cache, Time miss_cost);
 
-/// Stack-distance impact lower bound (see header comment).
+/// Stack-distance impact lower bound: the I_LB term of the bounds pass.
 Impact impact_lb_stack(const Trace& trace, Time miss_cost);
 
-/// Single-pass fold over a cursor in O(min(s, distinct pages)) memory;
-/// identical to the Trace overload.
+/// The same over a cursor, which the pass drains (a stalled stream, one
+/// that returns nothing before it is done, throws kCorruptTrace).
 Impact impact_lb_stack(TraceCursor& cursor, Time miss_cost);
 
 struct OptBounds {
@@ -78,10 +92,10 @@ struct OptBoundsConfig {
 OptBounds compute_opt_bounds(const MultiTrace& traces,
                              const OptBoundsConfig& config);
 
-/// Streamed instance. The Belady term is clairvoyant, so each lazy source
-/// is materialized one processor at a time — peak memory is the largest
-/// single trace, not the whole instance — keeping the bounds exact and
-/// identical to the MultiTrace overload (which delegates here).
+/// Streamed instance: each source is read once, through its cursor, and
+/// the bounds are identical to the MultiTrace overload (which delegates
+/// here). A stalled stream throws kCorruptTrace; kInvalidPage is counted
+/// as an ordinary page (rejecting it is the schedulers' screen).
 OptBounds compute_opt_bounds(const MultiTraceSource& sources,
                              const OptBoundsConfig& config);
 

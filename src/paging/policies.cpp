@@ -1,14 +1,15 @@
 // Concrete eviction policies: LRU, FIFO, CLOCK, RANDOM, LFU, BELADY.
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "paging/belady.hpp"
 #include "paging/eviction_policy.hpp"
 #include "util/assert.hpp"
+#include "util/hier_bitset.hpp"
 #include "util/lru_set.hpp"
 
 namespace ppg {
@@ -220,136 +221,8 @@ class LfuPolicy final : public EvictionPolicy {
   std::uint64_t stamp_ = 0;
 };
 
-// 64-ary hierarchical bitset over [0, n): level 0 holds the bits, and
-// each word of level l+1 marks the nonzero words of level l. Set, clear
-// and "highest set bit" touch one word per level (about log64 n of them).
-class HierBitset {
- public:
-  static constexpr std::size_t kNone = SIZE_MAX;
-
-  void reset(std::size_t n) {
-    levels_.clear();
-    std::size_t words = std::max<std::size_t>(1, (n + 63) / 64);
-    for (;;) {
-      levels_.emplace_back(words, 0);
-      if (words == 1) break;
-      words = (words + 63) / 64;
-    }
-  }
-
-  bool test(std::size_t i) const {
-    return (levels_[0][i >> 6] >> (i & 63)) & 1;
-  }
-
-  void set(std::size_t i) {
-    for (auto& level : levels_) {
-      std::uint64_t& word = level[i >> 6];
-      const bool was_empty = word == 0;
-      word |= std::uint64_t{1} << (i & 63);
-      if (!was_empty) return;  // the levels above already mark this word
-      i >>= 6;
-    }
-  }
-
-  void clear(std::size_t i) {
-    for (auto& level : levels_) {
-      std::uint64_t& word = level[i >> 6];
-      word &= ~(std::uint64_t{1} << (i & 63));
-      if (word != 0) return;
-      i >>= 6;
-    }
-  }
-
-  /// Highest set bit, or kNone when the set is empty.
-  std::size_t highest() const {
-    if (levels_.empty() || levels_.back()[0] == 0) return kNone;
-    std::size_t i = 0;
-    for (std::size_t l = levels_.size(); l-- > 0;)
-      i = i * 64 + 63 -
-          static_cast<std::size_t>(std::countl_zero(levels_[l][i]));
-    return i;
-  }
-
-  /// Calls fn(i) for every set bit, visiting only nonzero words.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (!levels_.empty()) walk(levels_.size() - 1, 0, fn);
-  }
-
-  /// Clears every bit, visiting only nonzero words.
-  void clear_all() {
-    if (!levels_.empty()) zero(levels_.size() - 1, 0);
-  }
-
- private:
-  static std::size_t child(std::size_t index, std::uint64_t word) {
-    return index * 64 + static_cast<std::size_t>(std::countr_zero(word));
-  }
-
-  template <typename Fn>
-  void walk(std::size_t level, std::size_t index, Fn& fn) const {
-    for (std::uint64_t w = levels_[level][index]; w != 0; w &= w - 1) {
-      if (level == 0)
-        fn(child(index, w));
-      else
-        walk(level - 1, child(index, w), fn);
-    }
-  }
-
-  void zero(std::size_t level, std::size_t index) {
-    std::uint64_t w = levels_[level][index];
-    levels_[level][index] = 0;
-    if (level == 0) return;
-    for (; w != 0; w &= w - 1) zero(level - 1, child(index, w));
-  }
-
-  std::vector<std::vector<std::uint64_t>> levels_;  // [0] = the bits
-};
-
-constexpr std::uint32_t kNoNextUse = UINT32_MAX;
-
-/// next[i] = index of the next request for trace[i]'s page after i, or
-/// kNoNextUse if there is none. One backward pass over a flat
-/// open-addressing table (page -> latest index seen, kNoNextUse marking an
-/// empty cell), grown at load 1/2.
-std::vector<std::uint32_t> next_uses(const Trace& trace) {
-  constexpr std::uint32_t kEmpty = kNoNextUse;
-  std::vector<std::uint32_t> next(trace.size(), kNoNextUse);
-  std::vector<std::pair<PageId, std::uint32_t>> table(16, {0, kEmpty});
-  std::size_t used = 0;
-  const auto slot_of = [&table](PageId page) {
-    const std::size_t mask = table.size() - 1;
-    std::uint64_t x = page;  // splitmix64 finalizer, as in LruFlatIndex
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    std::size_t k = static_cast<std::size_t>(x) & mask;
-    while (table[k].second != kEmpty && table[k].first != page)
-      k = (k + 1) & mask;
-    return k;
-  };
-  for (std::size_t i = trace.size(); i-- > 0;) {
-    if (2 * (used + 1) > table.size()) {
-      std::vector<std::pair<PageId, std::uint32_t>> old(2 * table.size(),
-                                                        {0, kEmpty});
-      table.swap(old);
-      for (const auto& entry : old)
-        if (entry.second != kEmpty) table[slot_of(entry.first)] = entry;
-    }
-    auto& [page, latest] = table[slot_of(trace[i])];
-    if (latest == kEmpty) {
-      page = trace[i];
-      ++used;
-    } else {
-      next[i] = latest;
-    }
-    latest = static_cast<std::uint32_t>(i);
-  }
-  return next;
-}
-
 // Belady's offline OPT: evict the resident page whose next use is farthest
-// in the future. prepare() records next_use_ = next_uses(trace). A
+// in the future. prepare() builds the next-use array (paging/belady.hpp). A
 // resident page whose next use j is finite is the single bit j of
 // `resident_`, so request i hits iff bit i is set; pages never used again
 // sit on `never_`. evict() takes a never-again page first (any of them:
@@ -360,13 +233,12 @@ std::vector<std::uint32_t> next_uses(const Trace& trace) {
 class BeladyPolicy final : public EvictionPolicy {
  public:
   void prepare(const Trace& trace) override {
-    PPG_CHECK_MSG(trace.size() <= kNoNextUse,
-                  "Belady needs fewer than 2^32 requests");
     trace_ = &trace;
     resident_.reset(trace.size());
     never_.clear();
     pos_ = 0;
-    next_use_ = next_uses(trace);
+    uses_.reset(trace.size());
+    for (const PageId page : trace) uses_.push(page);
   }
 
   void advance(std::size_t request_index) override { pos_ = request_index; }
@@ -418,7 +290,7 @@ class BeladyPolicy final : public EvictionPolicy {
 
  private:
   void check_position() const {
-    PPG_CHECK_MSG(pos_ < next_use_.size(),
+    PPG_CHECK_MSG(pos_ < uses_.size(),
                   "Belady used without prepare()/advance()");
   }
 
@@ -426,7 +298,7 @@ class BeladyPolicy final : public EvictionPolicy {
   /// becomes its bit, or it joins the never-again list.
   void note_use(PageId page) {
     check_position();
-    const std::uint32_t next = next_use_[pos_];
+    const std::uint32_t next = uses_.next()[pos_];
     if (next == kNoNextUse)
       never_.push_back(page);
     else
@@ -434,7 +306,7 @@ class BeladyPolicy final : public EvictionPolicy {
   }
 
   const Trace* trace_ = nullptr;  // the prepared trace; must outlive use
-  std::vector<std::uint32_t> next_use_;
+  NextUseBuilder uses_;
   HierBitset resident_;
   std::vector<PageId> never_;
   std::size_t pos_ = 0;

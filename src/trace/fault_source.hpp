@@ -17,10 +17,11 @@
 //                   num_requests() keeps reporting the full declared length
 //                   — a source that lies about its size.
 //   stall@N         the stream stops producing at position N without ever
-//                   reporting done(): next_span returns 0 forever. Only a
-//                   per-tenant budget/deadline watchdog can evict such a
-//                   tenant. Never materialize a stalled source (the drain
-//                   loop would spin); it is streaming-only by construction.
+//                   reporting done(): next_span returns 0 forever. In the
+//                   engine only a per-tenant budget/deadline watchdog can
+//                   evict such a tenant (BoxRunner sees stalled boxes);
+//                   the drain loops (materialize, the OPT bounds pass,
+//                   GLOBAL-LRU) report it as kCorruptTrace.
 //
 // The decorator hides any materialized() backing vector so consumers always
 // read through the cursor — faults must flow through the same validation

@@ -1,9 +1,12 @@
 #include "trace/trace_source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <unordered_map>
 #include <utility>
+
+#include "util/error.hpp"
 
 namespace ppg {
 
@@ -383,9 +386,13 @@ class RebaseSource final : public TraceSource {
 Trace materialize(TraceCursor& cursor, std::size_t size_hint) {
   std::vector<PageId> reqs;
   reqs.reserve(size_hint);
-  while (!cursor.done()) {
-    reqs.push_back(cursor.peek());
-    cursor.advance();
+  std::array<PageId, 1024> span;
+  while (const std::size_t got = cursor.next_span(span.data(), span.size()))
+    reqs.insert(reqs.end(), span.begin(), span.begin() + got);
+  if (!cursor.done()) {
+    throw_error(ErrorCode::kCorruptTrace,
+                "trace stream stalled: no request and not done",
+                cursor.position());
   }
   return Trace(std::move(reqs));
 }

@@ -94,13 +94,15 @@ class TraceSource {
 
   /// If the whole sequence is resident in memory, the backing Trace. Only
   /// the offline consumers that need the whole trace at once use it (the
-  /// OPT bounds, the offline packer, Belady's next-use table) to skip a
-  /// copy; simulators always read through cursor(). Null for lazy
+  /// exact green-OPT DP, the offline packer) to skip a copy; simulators and
+  /// the OPT bounds pass always read through cursor(). Null for lazy
   /// (generator / file) sources.
   virtual const Trace* materialized() const { return nullptr; }
 };
 
-/// Drains a cursor into a materialized Trace. `size_hint` pre-reserves.
+/// Drains a cursor into a materialized Trace through next_span.
+/// `size_hint` pre-reserves. A stalled stream (next_span returns nothing
+/// before done()) throws kCorruptTrace instead of spinning.
 Trace materialize(TraceCursor& cursor, std::size_t size_hint = 0);
 
 /// Materializes a source (returns a copy of the backing vector when the

@@ -7,6 +7,8 @@
 #include "bench_support/experiment.hpp"
 #include "core/replay.hpp"
 #include "test_helpers.hpp"
+#include "trace/fault_source.hpp"
+#include "trace/generators.hpp"
 #include "trace/workload.hpp"
 
 namespace ppg {
@@ -99,6 +101,34 @@ TEST(RunInstance, CapturesPerCellFailuresFromInjectedFaults) {
         << so.name;
   }
   std::filesystem::remove_all(dump_dir);
+}
+
+TEST(RunInstance, StalledStreamFailsEveryRow) {
+  // The bounds pass is the first to read the stalled processor, so the
+  // whole cell is one structured failure instead of a hang.
+  MultiTraceSource sources;
+  for (ProcId i = 0; i < 3; ++i) {
+    std::shared_ptr<const TraceSource> source =
+        rebase_source(gen::cyclic_source(5, 60), i);
+    if (i == 1) {
+      TraceFaultSpec spec;
+      spec.fault = TraceFaultClass::kStall;
+      spec.at = 17;
+      source = make_fault_injecting_source(std::move(source), spec);
+    }
+    sources.add(std::move(source));
+  }
+  ExperimentConfig config;
+  config.cache_size = 8;
+  config.miss_cost = 4;
+  const InstanceOutcome out = run_instance(
+      sources, {SchedulerKind::kDetPar, SchedulerKind::kRandPar}, config);
+  ASSERT_EQ(out.outcomes.size(), 3u);
+  for (const SchedulerOutcome& so : out.outcomes) {
+    EXPECT_EQ(so.status.error.code, ErrorCode::kCorruptTrace) << so.name;
+    EXPECT_EQ(so.status.error.byte_offset, 17u) << so.name;
+  }
+  EXPECT_EQ(out.num_failed(), 3u);
 }
 
 TEST(RunInstance, CellBudgetSurfacesAsStructuredOutcome) {

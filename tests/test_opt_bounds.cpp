@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/parallel_engine.hpp"
 #include "core/scheduler_factory.hpp"
+#include "naive_belady.hpp"
 #include "opt/opt_bounds.hpp"
 #include "test_helpers.hpp"
+#include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/trace_source.hpp"
 #include "trace/workload.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace ppg {
@@ -120,11 +124,119 @@ TEST(OptBounds, KeepsEveryProcessorsBusyMinimum) {
   config.miss_cost = 6;
   const OptBounds b = compute_opt_bounds(mt, config);
   ASSERT_EQ(b.busy_min.size(), mt.num_procs());
-  for (ProcId i = 0; i < mt.num_procs(); ++i)
-    EXPECT_EQ(b.busy_min[i], busy_min_single(mt.trace(i), 16, 6)) << i;
+  for (ProcId i = 0; i < mt.num_procs(); ++i) {
+    // Independent of the bounds pass: the naive O(n * k) Belady.
+    const Trace& t = mt.trace(i);
+    const std::uint64_t faults = test::naive_belady_misses(t, 16);
+    EXPECT_EQ(b.busy_min[i], t.size() + 5 * faults) << i;
+  }
   EXPECT_EQ(b.busy_min.back(), 0u);
   EXPECT_EQ(b.lb_max_single,
             *std::max_element(b.busy_min.begin(), b.busy_min.end()));
+}
+
+/// What compute_opt_bounds must report, from the naive models alone: the
+/// O(n * k) Belady and the naive stack distances.
+OptBounds naive_bounds(const MultiTrace& mt, Height k, Time s) {
+  OptBounds b;
+  Impact impact = 0;
+  for (ProcId i = 0; i < mt.num_procs(); ++i) {
+    const Trace& t = mt.trace(i);
+    const std::uint64_t faults = test::naive_belady_misses(t, k);
+    b.busy_min.push_back((t.size() - faults) + faults * s);
+    b.lb_max_length = std::max<Time>(b.lb_max_length, t.size());
+    b.lb_max_single = std::max(b.lb_max_single, b.busy_min.back());
+    impact += naive_impact_lb(t, s);
+  }
+  b.lb_impact = impact / k;
+  return b;
+}
+
+void expect_same_bounds(const OptBounds& got, const OptBounds& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.lb_max_length, want.lb_max_length) << what;
+  EXPECT_EQ(got.lb_max_single, want.lb_max_single) << what;
+  EXPECT_EQ(got.lb_impact, want.lb_impact) << what;
+  EXPECT_EQ(got.busy_min, want.busy_min) << what;
+}
+
+TEST(OptBoundsReference, MatchesNaiveBeladyAndStackDistances) {
+  // One instance per s: uniform traces over k-1 and k distinct pages (the
+  // pass's no-eviction case), k+1 and 8k (Belady from the next-use array),
+  // a zipf stream, an empty and a one-request trace. The generator sources
+  // are streamed; their materialized copies must give the same bounds.
+  const Height k = 8;
+  for (const Time s : {1u, 2u, 8u, 64u}) {
+    MultiTraceSource streamed;
+    const std::vector<std::uint64_t> distinct = {k - 1, k, k + 1, 8 * k};
+    for (const std::uint64_t m : distinct) {
+      const std::size_t n = m == 8 * k ? 1500 : 40 * m;
+      streamed.add(gen::uniform_random_source(m, n, Rng(100 * s + m)));
+    }
+    streamed.add(gen::zipf_source(6 * k, 2000, 0.8, Rng(s)));
+    streamed.add(gen::single_use_source(0));
+    streamed.add(gen::single_use_source(1));
+    const MultiTrace mt = streamed.materialize();
+    for (std::size_t i = 0; i < distinct.size(); ++i)
+      ASSERT_EQ(mt.trace(static_cast<ProcId>(i)).distinct_pages(),
+                distinct[i]);
+
+    OptBoundsConfig config;
+    config.cache_size = k;
+    config.miss_cost = s;
+    const OptBounds want = naive_bounds(mt, k, s);
+    const std::string at = "s=" + std::to_string(s);
+    expect_same_bounds(compute_opt_bounds(mt, config), want,
+                       "materialized, " + at);
+    expect_same_bounds(compute_opt_bounds(streamed, config), want,
+                       "streamed, " + at);
+  }
+}
+
+TEST(OptBoundsReference, LongGapTrace) {
+  // A, then B 10^5 times, then A, three times over, then A: each A's stack
+  // distance is 1, found 10^5 positions back across empty bitset words.
+  std::vector<PageId> requests;
+  for (int round = 0; round < 3; ++round) {
+    requests.push_back(0);
+    requests.insert(requests.end(), 100000, 1);
+  }
+  requests.push_back(0);
+  MultiTrace mt;
+  mt.add(Trace(std::move(requests)));
+  for (const Height k : {1u, 2u}) {
+    for (const Time s : {1u, 2u, 8u, 64u}) {
+      OptBoundsConfig config;
+      config.cache_size = k;
+      config.miss_cost = s;
+      expect_same_bounds(compute_opt_bounds(mt, config), naive_bounds(mt, k, s),
+                         "k=" + std::to_string(k) + " s=" + std::to_string(s));
+    }
+  }
+}
+
+TEST(OptBounds, StalledStreamIsCorruptTrace) {
+  // A stream that stops producing without reporting done() must fail the
+  // pass, on the cursor path and on the exact-DP path that materializes it.
+  for (const std::size_t exact : {std::size_t{0}, std::size_t{100000}}) {
+    MultiTraceSource sources;
+    sources.add(gen::cyclic_source(5, 60));
+    TraceFaultSpec spec;
+    spec.fault = TraceFaultClass::kStall;
+    spec.at = 21;
+    sources.add(make_fault_injecting_source(gen::cyclic_source(5, 60), spec));
+    OptBoundsConfig config;
+    config.cache_size = 8;
+    config.miss_cost = 4;
+    config.exact_impact_max_requests = exact;
+    try {
+      (void)compute_opt_bounds(sources, config);
+      ADD_FAILURE() << "stalled stream accepted, exact=" << exact;
+    } catch (const PpgException& e) {
+      EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace) << exact;
+      EXPECT_EQ(e.error().byte_offset, 21u) << exact;
+    }
+  }
 }
 
 TEST(OptBounds, ExactImpactAtLeastStackEstimate) {

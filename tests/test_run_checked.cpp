@@ -3,9 +3,12 @@
 // checked run is bit-identical to the legacy run().
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "core/parallel_engine.hpp"
+#include "core/replay.hpp"
 #include "core/scheduler_factory.hpp"
 #include "test_helpers.hpp"
 #include "trace/fault_source.hpp"
@@ -179,6 +182,36 @@ TEST(RunChecked, ReservedPageInMaterializedTraceIsCorruptTrace) {
   EXPECT_EQ(got.status.error.code, want.status.error.code);
   EXPECT_EQ(got.status.error.proc, want.status.error.proc);
   EXPECT_EQ(got.status.error.byte_offset, want.status.error.byte_offset);
+}
+
+TEST(RunChecked, StalledStreamDumpsWithoutTraces) {
+  // The engine cannot tell a stalled stream from a slow one, so only the
+  // watchdog ends the run. Its replay dump embeds streamed traces by
+  // draining them; a stalled stream cannot be drained, so the dump records
+  // the failure without the vectors instead of spinning (or letting the
+  // drain's kCorruptTrace escape run_checked).
+  TraceFaultSpec spec;
+  spec.fault = TraceFaultClass::kStall;
+  spec.at = 40;
+  MultiTraceSource sources;
+  sources.add(rebase_source(gen::cyclic_source(6, 200), 0));
+  sources.add(make_fault_injecting_source(
+      rebase_source(gen::cyclic_source(9, 200), 1), spec));
+  EngineConfig ec;
+  ec.cache_size = 16;
+  ec.miss_cost = 4;
+  ec.max_time = 5000;
+  const std::string path = test::unique_temp_path("stall.ppgreplay");
+  ec.replay_dump_path = path;
+  auto scheduler = make_scheduler(SchedulerKind::kStatic, 0);
+  const CheckedRun run = run_parallel_checked(sources, *scheduler, ec);
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.error.code, ErrorCode::kWatchdogTimeout);
+  ASSERT_EQ(run.status.replay_dump_path, path);
+  const ReplayDump dump = load_replay_dump(path);
+  EXPECT_FALSE(dump.has_traces);
+  EXPECT_EQ(dump.reason.code, ErrorCode::kWatchdogTimeout);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "test_helpers.hpp"
 #include "trace/adversarial.hpp"
+#include "trace/fault_source.hpp"
 #include "trace/generators.hpp"
 #include "trace/stack_distance.hpp"
 #include "trace/trace_io.hpp"
@@ -406,6 +407,34 @@ TEST(TraceSource, NextSpanAfterPeekEmitsPeekedRequestFirst) {
                buffer.begin() + static_cast<std::ptrdiff_t>(n));
   }
   EXPECT_EQ(got, reference.requests());
+}
+
+TEST(TraceSource, MaterializeStalledStreamIsCorruptTrace) {
+  // A stalled stream never reports done(): draining it must fail at the
+  // stall position instead of looping forever.
+  TraceFaultSpec spec;
+  spec.fault = TraceFaultClass::kStall;
+  spec.at = 33;
+  const auto source =
+      make_fault_injecting_source(gen::cyclic_source(7, 200), spec);
+  try {
+    (void)materialize(*source);
+    ADD_FAILURE() << "stalled stream materialized";
+  } catch (const PpgException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kCorruptTrace);
+    EXPECT_EQ(e.error().byte_offset, 33u);
+  }
+  // The other faults keep their meaning: a torn span ends the trace early
+  // and a hostile page is delivered for the consumers' screens.
+  spec.fault = TraceFaultClass::kTornSpan;
+  EXPECT_EQ(materialize(*make_fault_injecting_source(
+                            gen::cyclic_source(7, 200), spec))
+                .size(),
+            33u);
+  spec.fault = TraceFaultClass::kHostilePage;
+  EXPECT_EQ(materialize(*make_fault_injecting_source(
+                            gen::cyclic_source(7, 200), spec))[33],
+            kInvalidPage);
 }
 
 TEST(TraceSource, ReadAheadSourceHonoursCursorContract) {
