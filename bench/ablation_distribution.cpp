@@ -8,17 +8,10 @@
 // that need them.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
 //   --stream       pull the RAND-PAR instances lazily from generator
 //                  sources instead of materializing them (output is
 //                  byte-identical; the green-paging traces are a few
 //                  thousand requests and stay materialized)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL); the
-//                  two sweeps journal as stages 0/1
-//   --resume       skip cells already in the journal
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -37,11 +30,8 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args,
-      std::string("ablation_distribution v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E7", "Ablation: box-height distribution exponent",
@@ -80,17 +70,14 @@ int run_bench(int argc, char** argv) {
   }
   cases.push_back({"mid-cycle-bigS", gen::cyclic(8, 5000), 32u, 128});
 
-  struct GreenResult {
-    std::vector<double> ratios;  ///< One per exponent.
-  };
-  const std::vector<GreenResult> green_results = sweep_cells(
-      sweep.with_stage(0), cases.size(),
-      [&](std::size_t i) {
+  // One impact ratio per exponent.
+  const std::vector<std::vector<double>> green_results =
+      sweep_cells(jobs, cases.size(), [&](std::size_t i) {
         const GreenCase& gc = cases[i];
         const Height k = 4 * gc.p;
         const HeightLadder ladder = HeightLadder::for_cache(k, gc.p);
         const Impact opt = green_opt_impact(gc.trace, ladder, gc.miss_cost);
-        GreenResult res;
+        std::vector<double> ratios;
         for (const double exponent : exponents) {
           double sum = 0;
           const int trials = 5;
@@ -100,21 +87,17 @@ int run_bench(int argc, char** argv) {
             sum += static_cast<double>(
                 run_green_paging(gc.trace, *pager, gc.miss_cost).impact);
           }
-          res.ratios.push_back(
+          ratios.push_back(
               sum / trials / static_cast<double>(std::max<Impact>(1, opt)));
         }
-        return res;
-      },
-      [](CellWriter& w, const GreenResult& res) {
-        encode_f64_vec(w, res.ratios);
-      },
-      [](CellReader& r) { return GreenResult{decode_f64_vec(r)}; });
+        return ratios;
+      });
 
   bench::section("green paging: impact ratio vs exact OPT, by exponent");
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const GreenCase& gc = cases[i];
     green_table.row().cell(gc.name).cell(gc.p).cell(gc.miss_cost);
-    for (const double ratio : green_results[i].ratios)
+    for (const double ratio : green_results[i])
       green_table.cell(ratio);
   }
   bench::print_table(green_table);
@@ -122,12 +105,8 @@ int run_bench(int argc, char** argv) {
   // Part 2: RAND-PAR makespan by exponent; one cell per p (the instance and
   // its OPT bounds are shared by every exponent column).
   const std::vector<ProcId> ps{8u, 32u, 64u};
-  struct ParResult {
-    std::vector<double> ratios;  ///< One per exponent.
-  };
-  const std::vector<ParResult> par_results = sweep_cells(
-      sweep.with_stage(1), ps.size(),
-      [&](std::size_t i) {
+  const std::vector<std::vector<double>> par_results =
+      sweep_cells(jobs, ps.size(), [&](std::size_t i) {
         const ProcId p = ps[i];
         WorkloadParams wp;
         wp.num_procs = p;
@@ -146,7 +125,7 @@ int run_bench(int argc, char** argv) {
         oc.cache_size = wp.cache_size;
         oc.miss_cost = s;
         const OptBounds bounds = compute_opt_bounds(sources, oc);
-        ParResult res;
+        std::vector<double> ratios;
         for (const double exponent : exponents) {
           double sum = 0;
           const int trials = 3;
@@ -158,25 +137,20 @@ int run_bench(int argc, char** argv) {
             EngineConfig ec;
             ec.cache_size = wp.cache_size;
             ec.miss_cost = s;
-            ec.engine_threads = cli.engine_threads;
             sum += static_cast<double>(
                 run_parallel(sources, *scheduler, ec).makespan);
           }
-          res.ratios.push_back(sum / trials /
-                               static_cast<double>(bounds.lower_bound()));
+          ratios.push_back(sum / trials /
+                           static_cast<double>(bounds.lower_bound()));
         }
-        return res;
-      },
-      [](CellWriter& w, const ParResult& res) {
-        encode_f64_vec(w, res.ratios);
-      },
-      [](CellReader& r) { return ParResult{decode_f64_vec(r)}; });
+        return ratios;
+      });
 
   bench::section("RAND-PAR: makespan ratio vs OPT LB, by exponent");
   Table par_table({"p", "exp0", "exp1", "exp2", "exp3"});
   for (std::size_t i = 0; i < ps.size(); ++i) {
     par_table.row().cell(static_cast<std::uint64_t>(ps[i]));
-    for (const double ratio : par_results[i].ratios) par_table.cell(ratio);
+    for (const double ratio : par_results[i]) par_table.cell(ratio);
   }
   bench::print_table(par_table);
   std::cout << "\nExpected shape: exponent 2 is the only uniformly robust "

@@ -3,15 +3,10 @@
 // the paper claim it checks, the measurement table, and — where the claim
 // is a scaling shape — a ratio-vs-log2(p) fit table.
 //
-// All benches take a shared --jobs flag (see parallel_sweep.hpp): cells
-// are computed concurrently, output is emitted sequentially afterwards and
-// is byte-identical at every --jobs value.
-//
-// They likewise share --journal PATH / --resume checkpointing
-// (sweep_cli_from_args): finished cells are journaled durably, and a
-// resumed run decodes them instead of recomputing, printing output
-// byte-identical to an uninterrupted run. One run writes a journal at a
-// time; a second run on the same path exits with [journal-locked].
+// All sweep benches take a shared --jobs flag (jobs_from_args, see
+// parallel_sweep.hpp): cells are computed concurrently, output is emitted
+// sequentially afterwards and is byte-identical at every --jobs value
+// (a ctest per bench in bench/CMakeLists.txt checks it).
 #pragma once
 
 #include <cstdio>
@@ -43,8 +38,8 @@ inline void reject_unknown_options(const ArgParser& args) {
 /// exception) print `error: [code] message` and exit 1 instead of
 /// std::terminate, matching the examples' contract. Three extra duties:
 ///  - installs the SIGINT/SIGTERM handler so sweeps drain-and-stop;
-///  - a kInterrupted escape (the sweep was stopped) prints the resume
-///    hint and exits 130, the shell convention for "killed by SIGINT";
+///  - a kInterrupted escape (the sweep was stopped) prints how many cells
+///    finished and exits 130, the shell convention for "killed by SIGINT";
 ///  - std::bad_alloc maps to a structured [resource-exhausted] exit
 ///    instead of escaping to std::terminate.
 inline int guarded_main(int (*body)(int, char**), int argc, char** argv) {

@@ -8,18 +8,10 @@
 //
 //   --jobs N|max   run sweep cells on N threads (default 1; output is
 //                  byte-identical at every value)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output is byte-identical at every value —
-//                  prefer --jobs for many small cells, --engine-threads
-//                  for few wide ones)
 //   --quick        reduced sweep (p <= 16) for CI smoke runs
 //   --stream       pull each instance lazily from generator sources instead
 //                  of materializing it (output is byte-identical; peak
 //                  memory drops to O(active window))
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal; final output is
-//                  byte-identical to an uninterrupted run
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -34,11 +26,8 @@ int run_bench(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const bool quick = args.get_bool("quick", false);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args, std::string("makespan_scaling v1 quick=") + (quick ? "1" : "0") +
-                " stream=" + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E3/E4", "Makespan competitive-ratio scaling",
@@ -67,23 +56,10 @@ int run_bench(int argc, char** argv) {
 
   struct CellResult {
     InstanceOutcome outcome;
-    Height k = 0;
     Time t_ub = 0;
   };
-  const auto encode_cell = [](CellWriter& w, const CellResult& c) {
-    encode_instance_outcome(w, c.outcome);
-    w.u32(c.k);
-    w.u64(c.t_ub);
-  };
-  const auto decode_cell = [](CellReader& r) {
-    CellResult c;
-    c.outcome = decode_instance_outcome(r);
-    c.k = r.u32();
-    c.t_ub = r.u64();
-    return c;
-  };
   const std::vector<CellResult> results = sweep_cells(
-      sweep, params.size(),
+      jobs, params.size(),
       [&](std::size_t i) {
         const auto [wkind, p] = params[i];
         WorkloadParams wp;
@@ -108,10 +84,8 @@ int run_bench(int argc, char** argv) {
         config.miss_cost = s;
         config.seed = 3;
         config.trace_spec = workload_trace_spec(wkind, wp);
-        config.engine_threads = cli.engine_threads;
 
         CellResult cell;
-        cell.k = wp.cache_size;
         cell.outcome = run_instance(sources, kinds, config);
 
         // Achievable upper bound on T_OPT from offline strip packing of
@@ -123,8 +97,7 @@ int run_bench(int argc, char** argv) {
         pc.exact_profile_max_requests = 1;
         cell.t_ub = pack_offline(sources, pc).makespan;
         return cell;
-      },
-      encode_cell, decode_cell);
+      });
 
   Table table({"workload", "p", "k", "T_LB", "T_UB", "scheduler", "makespan",
                "ratio", "xi"});
@@ -136,7 +109,7 @@ int run_bench(int argc, char** argv) {
       table.row()
           .cell(workload_kind_name(wkind))
           .cell(static_cast<std::uint64_t>(p))
-          .cell(static_cast<std::uint64_t>(cell.k))
+          .cell(static_cast<std::uint64_t>(8 * p))
           .cell(cell.outcome.bounds.lower_bound())
           .cell(cell.t_ub)
           .cell(so.name)

@@ -6,13 +6,8 @@
 // lower bound and the max/min completion spread per scheduler.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  threads for each run's intra-engine box fan-out
-//                  (default 1; byte-identical output at every value)
 //   --stream       pull each instance lazily from generator sources
 //                  (byte-identical output, O(active window) peak memory)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
 #include <algorithm>
 #include <iostream>
 #include <limits>
@@ -27,11 +22,8 @@ int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
   const bool stream = args.get_bool("stream", false);
-  const SweepCli cli = sweep_cli_from_args(
-      args,
-      std::string("mean_completion v1 stream=") + (stream ? "1" : "0"));
+  const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E5", "Mean completion time on skewed-length workloads",
@@ -43,36 +35,14 @@ int run_bench(int argc, char** argv) {
   std::vector<ProcId> ps;
   for (ProcId p = 4; p <= 64; p *= 2) ps.push_back(p);
 
-  struct CellResult {
-    InstanceOutcome outcome;
-    /// Max per-proc stretch per outcome row, computed in the cell so the
-    /// traces don't have to outlive it.
-    std::vector<double> max_stretch;
-    Height k = 0;
-  };
-  const auto encode_cell = [](CellWriter& w, const CellResult& c) {
-    encode_instance_outcome(w, c.outcome);
-    encode_f64_vec(w, c.max_stretch);
-    w.u32(c.k);
-  };
-  const auto decode_cell = [](CellReader& r) {
-    CellResult c;
-    c.outcome = decode_instance_outcome(r);
-    c.max_stretch = decode_f64_vec(r);
-    c.k = r.u32();
-    return c;
-  };
-  const std::vector<CellResult> results = sweep_cells(
-      sweep, ps.size(),
-      [&](std::size_t i) {
+  const std::vector<InstanceOutcome> results =
+      sweep_cells(jobs, ps.size(), [&](std::size_t i) {
         const ProcId p = ps[i];
         WorkloadParams wp;
         wp.num_procs = p;
         wp.cache_size = 8 * p;
         wp.requests_per_proc = 6000;
         wp.seed = 11 + p;
-        CellResult cell;
-        cell.k = wp.cache_size;
         MultiTrace mt;
         MultiTraceSource sources;
         if (stream) {
@@ -87,39 +57,31 @@ int run_bench(int argc, char** argv) {
         config.miss_cost = s;
         config.trace_spec =
             workload_trace_spec(WorkloadKind::kSkewedLengths, wp);
-        config.engine_threads = cli.engine_threads;
-        cell.outcome = run_instance(sources, all_scheduler_kinds(), config);
-        // The bounds pass already ran Belady on every processor at k; its
-        // busy minima are only in this in-cell outcome (not journaled).
-        for (const SchedulerOutcome& so : cell.outcome.outcomes) {
-          const std::vector<double> stretch = per_proc_stretch(
-              cell.outcome.bounds.busy_min, so.result.completion);
-          double max_stretch = 0.0;
-          for (double v : stretch) max_stretch = std::max(max_stretch, v);
-          cell.max_stretch.push_back(max_stretch);
-        }
-        return cell;
-      },
-      encode_cell, decode_cell);
+        return run_instance(sources, all_scheduler_kinds(), config);
+      });
 
   Table table({"p", "k", "scheduler", "mean_ct", "mean_ratio", "makespan",
                "spread_max_over_min", "max_stretch"});
   ScalingCollector fits;
   for (std::size_t i = 0; i < ps.size(); ++i) {
     const ProcId p = ps[i];
-    const CellResult& cell = results[i];
-    for (std::size_t j = 0; j < cell.outcome.outcomes.size(); ++j) {
-      const SchedulerOutcome& so = cell.outcome.outcomes[j];
+    const InstanceOutcome& outcome = results[i];
+    for (const SchedulerOutcome& so : outcome.outcomes) {
       Time min_c = std::numeric_limits<Time>::max();
       Time max_c = 0;
       for (Time c : so.result.completion) {
         min_c = std::min(min_c, std::max<Time>(1, c));
         max_c = std::max(max_c, c);
       }
-      const double max_stretch = cell.max_stretch[j];
+      // The bounds pass already ran Belady on every processor at k; its
+      // busy minima are the stretch denominators.
+      double max_stretch = 0.0;
+      for (const double v : per_proc_stretch(outcome.bounds.busy_min,
+                                             so.result.completion))
+        max_stretch = std::max(max_stretch, v);
       table.row()
           .cell(static_cast<std::uint64_t>(p))
-          .cell(static_cast<std::uint64_t>(cell.k))
+          .cell(static_cast<std::uint64_t>(8 * p))
           .cell(so.name)
           .cell(so.result.mean_completion, 0)
           .cell(so.mean_ct_ratio)

@@ -10,12 +10,6 @@
 // wins outright — quantifying why the open problem is open.
 //
 //   --jobs N|max   run sweep cells on N threads (default 1)
-//   --engine-threads N|max
-//                  fast-forward each run's same-time boxes on N threads
-//                  (default 1; output and journals are byte-identical at
-//                  every value)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -28,9 +22,8 @@
 int run_bench(int argc, char** argv) {
   using namespace ppg;
   const ArgParser args(argc, argv);
-  const SweepCli cli = sweep_cli_from_args(args, "shared_pages v1");
+  const std::size_t jobs = jobs_from_args(args);
   bench::reject_unknown_options(args);
-  const SweepOptions& sweep = cli.options;
 
   bench::banner(
       "E11", "Page sharing across processors (open problem, Section 5)",
@@ -49,14 +42,12 @@ int run_bench(int argc, char** argv) {
     for (ProcId p : {8u, 32u}) params.push_back({sigma, p});
 
   struct CellResult {
-    Height k = 0;
     Time global_lru = 0;
     Time det_par = 0;
     Time equi = 0;
   };
-  const std::vector<CellResult> results = sweep_cells(
-      sweep, params.size(),
-      [&](std::size_t i) {
+  const std::vector<CellResult> results =
+      sweep_cells(jobs, params.size(), [&](std::size_t i) {
         const auto [sigma, p] = params[i];
         SharedWorkloadParams sp;
         sp.num_procs = p;
@@ -68,7 +59,6 @@ int run_bench(int argc, char** argv) {
         const MultiTrace priv = privatize(shared);
 
         CellResult cell;
-        cell.k = sp.cache_size;
 
         GlobalLruConfig gc;
         gc.cache_size = sp.cache_size;
@@ -78,26 +68,11 @@ int run_bench(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = sp.cache_size;
         ec.miss_cost = s;
-        ec.engine_threads = cli.engine_threads;
         auto det_par = make_scheduler(SchedulerKind::kDetPar);
         cell.det_par = run_parallel(priv, *det_par, ec).makespan;
         auto equi = make_scheduler(SchedulerKind::kEqui);
         cell.equi = run_parallel(priv, *equi, ec).makespan;
         return cell;
-      },
-      [](CellWriter& w, const CellResult& c) {
-        w.u32(c.k);
-        w.u64(c.global_lru);
-        w.u64(c.det_par);
-        w.u64(c.equi);
-      },
-      [](CellReader& r) {
-        CellResult c;
-        c.k = r.u32();
-        c.global_lru = r.u64();
-        c.det_par = r.u64();
-        c.equi = r.u64();
-        return c;
       });
 
   Table table({"share_frac", "p", "k", "GLOBAL-LRU", "DET-PAR(priv)",
@@ -108,7 +83,7 @@ int run_bench(int argc, char** argv) {
     table.row()
         .cell(sigma, 2)
         .cell(static_cast<std::uint64_t>(p))
-        .cell(static_cast<std::uint64_t>(cell.k))
+        .cell(static_cast<std::uint64_t>(8 * p))
         .cell(cell.global_lru)
         .cell(cell.det_par)
         .cell(cell.equi)

@@ -1,26 +1,16 @@
-// Chaos harness: a small sweep purpose-built for crash-safety drills.
+// Chaos harness: a small sweep whose cells fail on purpose.
 //
 // Each cell is a real (tiny) experiment — a deterministic workload run
-// through run_instance() — so the binary exercises the full checkpoint
-// path: journal append, durable flush, resume decode, budget outcomes.
-// What makes it a chaos harness is --kill-at: the process raises SIGKILL
-// against itself once K cells are journaled, simulating a hard crash
-// (power loss, OOM kill) that no signal handler can soften. The kernel
-// drops the dead run's journal lock, so a plain --resume picks the sweep
-// up. scripts/chaos.sh drives the drill: golden run, killed run, resumed
-// run, then byte-compares the outputs.
+// through run_instance() — so the binary exercises the per-cell failure
+// capture end to end: cells that exhaust their step budget or read a
+// corrupt trace report a structured status in their row while the rest of
+// the sweep runs. The ctests in examples/CMakeLists.txt check that the
+// output, failed rows included, is byte-identical at --jobs 1 and max.
 //
-//   $ ./chaos_sweep [--cells N] [--jobs N|max] [--engine-threads N|max]
-//                   [--journal PATH [--resume]] [--kill-at K]
-//                   [--budget EVENTS] [--retries R]
+//   $ ./chaos_sweep [--cells N] [--jobs N|max] [--budget EVENTS]
+//                   [--retries R] [--faulty-every N]
 //
 //   --cells N      number of sweep cells (default 48)
-//   --journal PATH checkpoint each finished cell to PATH (PPGJRNL)
-//   --resume       skip cells already in the journal
-//   --kill-at K    raise SIGKILL at the start of the first fresh cell once
-//                  >= K records are journaled (requires --journal); the
-//                  journal keeps the K finished cells, the process dies
-//                  with exit 137 like any externally killed job
 //   --budget E     per-cell engine step budget (0 = unlimited); exhausted
 //                  cells report a structured [cell-budget-exceeded] status
 //                  in their row instead of aborting the sweep
@@ -29,8 +19,7 @@
 //                  ExperimentConfig::cell_retries)
 //   --faulty-every N  give every N-th cell a corrupt trace (via the
 //                  INJECT-TRACE spec decorator); its row reports a
-//                  structured [corrupt-trace] status — failure as data
-//                  that must survive kill/resume byte-for-byte
+//                  structured [corrupt-trace] status
 #include <iostream>
 #include <new>
 #include <stdexcept>
@@ -54,28 +43,16 @@ int run_chaos(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("budget", 0));
   const std::uint32_t retries =
       static_cast<std::uint32_t>(args.get_int("retries", 0));
-  const std::int64_t kill_at = args.get_int("kill-at", -1);
   const std::uint64_t faulty_every =
       static_cast<std::uint64_t>(args.get_int("faulty-every", 0));
-  const SweepCli cli = sweep_cli_from_args(
-      args, "chaos_sweep v1 cells=" + std::to_string(num_cells) +
-                " budget=" + std::to_string(budget) +
-                " retries=" + std::to_string(retries) +
-                " faulty-every=" + std::to_string(faulty_every));
+  const std::size_t jobs = jobs_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());
-  if (kill_at >= 0 && cli.journal == nullptr)
-    throw_error(ErrorCode::kBadInput,
-                "--kill-at requires --journal (the drill is about what the "
-                "journal preserves)");
-  SweepOptions sweep = cli.options;
-  if (kill_at >= 0) sweep.kill_after = kill_at;
 
   const std::vector<SchedulerKind> kinds{SchedulerKind::kDetPar};
 
-  const std::vector<InstanceOutcome> outcomes = sweep_cells(
-      sweep, num_cells,
-      [&](std::size_t i) {
+  const std::vector<InstanceOutcome> outcomes =
+      sweep_cells(jobs, num_cells, [&](std::size_t i) {
         WorkloadParams wp;
         wp.num_procs = 4;
         wp.cache_size = 32;
@@ -88,11 +65,10 @@ int run_chaos(int argc, char** argv) {
         config.include_global_lru = false;
         config.cell_event_budget = budget;
         config.cell_retries = retries;
-        config.engine_threads = cli.engine_threads;
         if (faulty_every > 0 && i % faulty_every == faulty_every - 1) {
           // Same workload, wrapped in the INJECT-TRACE decorator: the cell
           // fails deterministically with [corrupt-trace] and the sweep
-          // journals the failure as data instead of crashing.
+          // reports the failure as data instead of crashing.
           const MultiTraceSource sources = make_source_from_trace_spec(
               "INJECT-TRACE(fail@123,workload(kind=hetero-mix,p=4,k=32,"
               "n=400,seed=" +
@@ -102,11 +78,7 @@ int run_chaos(int argc, char** argv) {
         const MultiTrace traces =
             make_workload(WorkloadKind::kHeterogeneousMix, wp);
         return run_instance(traces, kinds, config);
-      },
-      [](CellWriter& w, const InstanceOutcome& o) {
-        encode_instance_outcome(w, o);
-      },
-      [](CellReader& r) { return decode_instance_outcome(r); });
+      });
 
   Table table({"cell", "makespan", "ratio", "status"});
   std::size_t failed = 0;
@@ -128,8 +100,8 @@ int run_chaos(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Examples only see src/ on the include path; this mirrors
-  // bench::guarded_main (drain-and-stop on SIGINT/SIGTERM, exit 130 with
-  // the resume hint, structured resource-exhausted on bad_alloc).
+  // bench::guarded_main (drain-and-stop on SIGINT/SIGTERM, exit 130,
+  // structured resource-exhausted on bad_alloc).
   ppg::install_interrupt_handler();
   try {
     return run_chaos(argc, argv);

@@ -6,12 +6,10 @@
 // fault rate, with how much memory — the practical question "how should a
 // shared cache be partitioned?" answered by each strategy.
 //
-//   $ ./multiprogram_study [p] [k] [--jobs N|max] [--engine-threads N|max]
-//                          [--journal PATH [--resume]]
+//   $ ./multiprogram_study [p] [k] [--jobs N|max]
 //
-// --journal PATH checkpoints each finished scheduler run to PATH (PPGJRNL);
-// --resume skips runs already journaled. The positional p/k are part of the
-// journal binding, so resuming with a different shape is refused.
+// --jobs runs the schedulers on N threads; the table is byte-identical at
+// every value.
 #include <cstdlib>
 #include <iostream>
 #include <new>
@@ -39,12 +37,9 @@ int run_study(int argc, char** argv) {
   const Height k = positional.size() > 1
                        ? static_cast<Height>(std::atoi(positional[1].c_str()))
                        : 8 * p;
-  const SweepCli cli = sweep_cli_from_args(
-      args, "multiprogram_study v1 p=" + std::to_string(p) +
-                " k=" + std::to_string(k));
+  const std::size_t jobs = jobs_from_args(args);
   if (const auto unused = args.unused_keys(); !unused.empty())
     throw std::invalid_argument("unknown option --" + unused.front());
-  const SweepOptions& sweep = cli.options;
   const Time s = 16;
 
   WorkloadParams wp;
@@ -67,9 +62,8 @@ int run_study(int argc, char** argv) {
   // One sweep cell per scheduler (GLOBAL-LRU rides along as the last cell);
   // rows are emitted in scheduler order regardless of --jobs.
   const std::vector<SchedulerKind> kinds = all_scheduler_kinds();
-  const std::vector<ParallelRunResult> results = sweep_cells(
-      sweep, kinds.size() + 1,
-      [&](std::size_t i) {
+  const std::vector<ParallelRunResult> results =
+      sweep_cells(jobs, kinds.size() + 1, [&](std::size_t i) {
         if (i == kinds.size()) {
           // The no-partitioning baseline.
           GlobalLruConfig gc;
@@ -81,13 +75,8 @@ int run_study(int argc, char** argv) {
         EngineConfig ec;
         ec.cache_size = k;
         ec.miss_cost = s;
-        ec.engine_threads = cli.engine_threads;
         return run_parallel(traces, *scheduler, ec);
-      },
-      [](CellWriter& w, const ParallelRunResult& r) {
-        encode_run_result(w, r);
-      },
-      [](CellReader& r) { return decode_run_result(r); });
+      });
 
   Table table({"scheduler", "makespan", "ratio", "mean_ct", "fault_rate",
                "peak_mem", "boxes"});
@@ -117,7 +106,7 @@ int run_study(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Examples only see src/ on the include path, so this mirrors
   // bench::guarded_main by hand: SIGINT/SIGTERM drain in-flight cells and
-  // exit 130 with a resume hint; allocation failure becomes a structured
+  // exit 130; allocation failure becomes a structured
   // resource-exhausted error instead of a raw terminate.
   ppg::install_interrupt_handler();
   try {

@@ -4,7 +4,7 @@
 // which carry an injected trace fault (rotating through the INJECT-TRACE
 // classes: fail, hostile-page, torn-span, stall). The binary runs the
 // sequence four times — faulty fraction in {0, f} crossed with
-// --engine-threads in {0, max} — under the STATIC scheduler, whose box
+// engine_threads in {0, max} — under the STATIC scheduler, whose box
 // cadence is independent of the active set, and then proves isolation:
 //
 //   * every HEALTHY tenant's outcome (terminal state, admission time,

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: warnings-as-errors build + full test suite (which
-# includes the PpgLint.Repo and PpgAnalyze.Repo gates), then the
+# includes the PpgLint.Repo and PpgAnalyze.Repo gates and a --jobs 1 vs
+# --jobs max byte-identity test per sweep bench and for chaos_sweep's
+# failed-cell rows), then the
 # static-analysis gate (scripts/static.sh: ppg_lint, ppg_analyze layering /
 # annotation / determinism rules, header self-containedness, clang
 # -Wthread-safety / clang-tidy / cppcheck when available) plus a hard check
 # that both emitted JSON reports are empty, then the robustness tests (fault
 # injection,
 # trace corruption, replay) again under ASan/UBSan, then the parallel-sweep
-# determinism suite raced under ThreadSanitizer, then the crash-safety
-# drill (scripts/chaos.sh: SIGKILL mid-sweep and a plain resume, torn-journal
-# recovery, journal-lock refusal of a live second writer, and three real
-# benches resumed from a half-cut journal, all byte-compared), then the
+# determinism suite raced under ThreadSanitizer, then the
 # constant-memory gates (a 10^8-request streamed run and a
 # 10^5-tenant service soak, both under a 256 MB address-space cap),
 # then the tenant fault-isolation chaos gate (service_chaos: 10^5 tenants,
@@ -52,7 +51,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build "build-${SAN}" -j "$(nproc)"
   (cd "build-${SAN}" &&
    ctest --output-on-failure -j "$(nproc)" \
-         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|SweepJournal|AtomicFile|Interrupt|CellCodec|EngineStepper|PagingService')
+         -R 'FaultInjection|Contract|Replay|TraceIoCorruption|RunChecked|Error|AtomicFile|Interrupt|ParallelSweep|EngineStepper|PagingService')
 
   # Fault-isolation gate under ASan: injected trace faults (fail,
   # hostile-page, torn-span, stall) must quarantine only their own tenant
@@ -71,7 +70,7 @@ if [[ "${SAN}" != "none" ]]; then
   cmake --build build-thread -j "$(nproc)"
   (cd build-thread &&
    ctest --output-on-failure -j "$(nproc)" \
-         -R 'ThreadPool|ParallelSweep|SweepJournal|Interrupt|EngineThreads|EngineStepper|PagingService')
+         -R 'ThreadPool|ParallelSweep|Interrupt|EngineThreads|EngineStepper|PagingService')
 
   # TSan variant of the service soak: race the admission/stepper/fold path
   # end to end with the engine pool maxed. Reduced tenant count and no
@@ -86,13 +85,6 @@ if [[ "${SAN}" != "none" ]]; then
       --faulty-permille 150 > /dev/null
   echo "TSan fault-isolation gate OK (service_chaos, 5*10^3 tenants)"
 fi
-
-# Crash-safety gate: SIGKILL a journaled sweep mid-flight, resume it with a
-# plain --resume, tear the journal mid-record and resume again — all
-# byte-identical to an uninterrupted run, at --jobs 1 and max. Also the lock
-# gate (a live writer refuses a second one) and three real benches resumed
-# from a journal cut to half its bytes.
-scripts/chaos.sh
 
 # Constant-memory gate: a generator-backed 10^8-request streamed run must
 # complete under a hard 256 MB address-space cap (the materialized instance

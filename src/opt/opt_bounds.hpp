@@ -72,9 +72,7 @@ struct OptBounds {
   Time lb_max_single = 0;
   Time lb_impact = 0;
   /// busy_min_single of every processor at capacity k (lb_max_single is
-  /// its max): the denominators of per_proc_stretch. Cells journaled by
-  /// the cell codec do not carry it (a decoded OptBounds has it empty), so
-  /// a bench derives its per-processor columns inside the cell.
+  /// its max): the denominators of per_proc_stretch.
   std::vector<Time> busy_min;
 
   Time lower_bound() const;

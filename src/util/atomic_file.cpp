@@ -1,13 +1,11 @@
 #include "util/atomic_file.hpp"
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -70,85 +68,6 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
     throw_io("rename into place failed", path);
   }
   sync_parent_dir(path);
-}
-
-DurableAppendFile::~DurableAppendFile() { close(); }
-
-DurableAppendFile::DurableAppendFile(DurableAppendFile&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
-
-DurableAppendFile& DurableAppendFile::operator=(
-    DurableAppendFile&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    path_ = std::move(other.path_);
-  }
-  return *this;
-}
-
-DurableAppendFile DurableAppendFile::open(const std::string& path,
-                                          bool truncate) {
-  DurableAppendFile file;
-  // No O_TRUNC: a writer refused by the lock must leave the holder's
-  // bytes untouched, so truncation waits until the lock is ours.
-  file.fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                    0644);
-  if (file.fd_ < 0) throw_io("cannot open append file", path);
-  file.path_ = path;
-  while (::flock(file.fd_, LOCK_EX | LOCK_NB) != 0) {
-    if (errno == EINTR) continue;
-    if (errno == EWOULDBLOCK) {
-      throw_error(ErrorCode::kJournalLocked,
-                  "file is locked by another open writer; a second writer "
-                  "would interleave records",
-                  kNoOffset, path);
-    }
-    throw_io("flock failed", path);
-  }
-  if (truncate) file.truncate_to(0);
-  sync_parent_dir(path);
-  return file;
-}
-
-std::string DurableAppendFile::read_all() const {
-  if (fd_ < 0)
-    throw_error(ErrorCode::kIoError, "read on closed file", kNoOffset, path_);
-  std::string bytes;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::pread(fd_, buf, sizeof buf,
-                              static_cast<off_t>(bytes.size()));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_io("read failed", path_);
-    }
-    if (n == 0) return bytes;
-    bytes.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-void DurableAppendFile::append(std::string_view bytes) {
-  if (fd_ < 0)
-    throw_error(ErrorCode::kIoError, "append on closed file", kNoOffset,
-                path_);
-  write_all(fd_, bytes, path_);
-  if (::fdatasync(fd_) != 0) throw_io("fdatasync failed", path_);
-}
-
-void DurableAppendFile::truncate_to(std::uint64_t size) {
-  if (fd_ < 0)
-    throw_error(ErrorCode::kIoError, "truncate on closed file", kNoOffset,
-                path_);
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0)
-    throw_io("ftruncate failed", path_);
-}
-
-void DurableAppendFile::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 }  // namespace ppg

@@ -32,8 +32,9 @@ enum class ErrorCode : std::uint8_t {
   kCellBudgetExceeded,  ///< Sweep cell passed its simulated-step budget.
   kResourceExhausted,   ///< Allocation failure (std::bad_alloc) surfaced.
   kInterrupted,         ///< SIGINT/SIGTERM: sweep drained and stopped.
-  kJournalLocked,       ///< Another open writer holds the journal's lock.
-  kTenantBudgetExceeded,    ///< One processor passed its per-tenant budget.
+  // Replay dumps store codes as bytes, so a retired value (11) is never
+  // reused.
+  kTenantBudgetExceeded = 12,  ///< One processor passed its per-tenant budget.
   kTenantDeadlineExceeded,  ///< One processor passed its sojourn deadline.
 };
 

@@ -3,9 +3,9 @@
 // A process-wide flag set from SIGINT/SIGTERM (or programmatically) that
 // long-running loops poll. The sweep executor cooperates: once the flag
 // is up, worker threads stop claiming new cells, in-flight cells run to
-// completion (and land in the checkpoint journal if one is attached), and
-// the sweep surfaces a structured kInterrupted error so benches can exit
-// 130 with a resume hint instead of discarding finished work.
+// completion, and the sweep surfaces a structured kInterrupted error
+// ("k/n cells finished") so benches exit 130 instead of printing a
+// partial table.
 //
 // The flag is a lock-free std::atomic<int>: relaxed atomic stores are
 // async-signal-safe, and unlike a bare volatile sig_atomic_t the flag may
@@ -24,8 +24,8 @@ bool interrupt_requested();
 /// Sets the flag directly — tests and cooperative shutdown paths.
 void request_interrupt();
 
-/// Clears the flag (tests; a resumed run starts fresh anyway because the
-/// flag is per-process).
+/// Clears the flag (tests; the flag is per-process, so a new run starts
+/// with it down).
 void clear_interrupt();
 
 }  // namespace ppg

@@ -41,8 +41,7 @@ TEST(Error, EveryCodeHasAName) {
         ErrorCode::kIoError, ErrorCode::kContractViolation,
         ErrorCode::kWatchdogTimeout, ErrorCode::kInternal,
         ErrorCode::kCellBudgetExceeded, ErrorCode::kResourceExhausted,
-        ErrorCode::kInterrupted, ErrorCode::kJournalLocked,
-        ErrorCode::kTenantBudgetExceeded,
+        ErrorCode::kInterrupted, ErrorCode::kTenantBudgetExceeded,
         ErrorCode::kTenantDeadlineExceeded}) {
     EXPECT_STRNE(error_code_name(code), "unknown");
   }

@@ -65,7 +65,7 @@ class BoxSequenceHash {
 /// A scratch path under testing::TempDir() that no concurrently running
 /// test can share: gtest_discover_tests runs every TEST in its own process,
 /// so `ctest -j` runs them side by side, and a fixed file name lets one
-/// test truncate another's journal. The path is keyed on the running
+/// test overwrite another's file. The path is keyed on the running
 /// test's full name and the pid; `name` tells one test's files apart.
 inline std::string unique_temp_path(const std::string& name) {
   const testing::TestInfo* info =

@@ -9,10 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/experiment.hpp"
 #include "bench_support/parallel_sweep.hpp"
-#include "test_helpers.hpp"
 #include "trace/workload.hpp"
 #include "util/error.hpp"
+#include "util/interrupt.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ppg {
@@ -74,6 +75,14 @@ std::string render_outcomes(const std::vector<InstanceOutcome>& outcomes) {
   return os.str();
 }
 
+// One run_instance() cell: the instance (held as sources, so a cell costs
+// O(1) memory until it runs), the schedulers and the per-cell config.
+struct InstanceCell {
+  MultiTraceSource sources;
+  std::vector<SchedulerKind> kinds;
+  ExperimentConfig config;
+};
+
 std::vector<InstanceCell> make_cells() {
   std::vector<InstanceCell> cells;
   std::size_t index = 0;
@@ -97,21 +106,28 @@ std::vector<InstanceCell> make_cells() {
   return cells;
 }
 
+std::vector<InstanceOutcome> run_cells(const std::vector<InstanceCell>& cells,
+                                       std::size_t jobs) {
+  return sweep_cells(jobs, cells.size(), [&](std::size_t i) {
+    return run_instance(cells[i].sources, cells[i].kinds, cells[i].config);
+  });
+}
+
 TEST(ParallelSweep, RunInstancesByteIdenticalAcrossJobs) {
   const std::vector<InstanceCell> cells = make_cells();
-  const std::string serial = render_outcomes(run_instances(cells, 1));
+  const std::string serial = render_outcomes(run_cells(cells, 1));
   EXPECT_FALSE(serial.empty());
   for (const std::size_t jobs : {std::size_t{2},
                                  ThreadPool::hardware_jobs()}) {
-    EXPECT_EQ(render_outcomes(run_instances(cells, jobs)), serial)
+    EXPECT_EQ(render_outcomes(run_cells(cells, jobs)), serial)
         << "jobs=" << jobs;
   }
 }
 
 TEST(ParallelSweep, RunInstancesByteIdenticalAcrossRepeats) {
   const std::vector<InstanceCell> cells = make_cells();
-  const std::string first = render_outcomes(run_instances(cells, 2));
-  EXPECT_EQ(render_outcomes(run_instances(cells, 2)), first);
+  const std::string first = render_outcomes(run_cells(cells, 2));
+  EXPECT_EQ(render_outcomes(run_cells(cells, 2)), first);
 }
 
 TEST(ParallelSweep, CellExceptionPropagatesToCaller) {
@@ -123,32 +139,23 @@ TEST(ParallelSweep, CellExceptionPropagatesToCaller) {
                std::runtime_error);
 }
 
-// --- shared CLI -------------------------------------------------------------
-
-TEST(ParallelSweep, SweepCliJournalsEveryCellUnderItsBinding) {
-  const std::string path = test::unique_temp_path("sweep_cli_test.ppgjrnl");
-  const char* argv[] = {"prog", "--journal", path.c_str()};
-  const SweepCli cli = sweep_cli_from_args(ArgParser(3, argv), "bench v1");
-  ASSERT_NE(cli.journal, nullptr);
-  EXPECT_EQ(cli.options.journal, cli.journal.get());
-  EXPECT_EQ(cli.options.jobs, 1u);
-  EXPECT_EQ(cli.journal->binding(), "bench v1");
-
-  std::set<std::size_t> touched;
-  const auto out = sweep_cells(
-      cli.options, 10,
-      [&](std::size_t i) {
-        touched.insert(i);  // jobs=1: cells run serially
-        return cell_seed(3, i);
-      },
-      [](CellWriter& w, const std::uint64_t& v) { w.u64(v); },
-      [](CellReader& r) { return r.u64(); });
-  EXPECT_EQ(touched.size(), 10u);
-  EXPECT_EQ(cli.journal->num_records(), 10u);
-  ASSERT_EQ(out.size(), 10u);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], cell_seed(3, i));
-  std::remove(path.c_str());
+TEST(ParallelSweep, InterruptReportsCompletedCells) {
+  clear_interrupt();
+  try {
+    // jobs = 1: cells are claimed in order, so the cutoff is exact.
+    sweep_cells(1, 16, [](std::size_t i) {
+      if (i == 5) request_interrupt();  // arrives "mid-sweep"
+      return cell_seed(99, i);
+    });
+    FAIL() << "interrupted sweep did not throw";
+  } catch (const PpgException& e) {
+    EXPECT_EQ(e.error().code, ErrorCode::kInterrupted);
+    // Cell 5 drains, so cells 0..5 finished.
+    EXPECT_NE(e.error().message.find("6/16"), std::string::npos)
+        << e.error().message;
+    EXPECT_EQ(e.error().message.find("--resume"), std::string::npos);
+  }
+  clear_interrupt();
 }
 
 }  // namespace
